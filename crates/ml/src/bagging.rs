@@ -258,15 +258,8 @@ impl Classifier for Bagging {
         }
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        assert!(!self.models.is_empty(), "Bagging not fitted");
-        let mut out = vec![0.0; self.n_classes];
-        self.predict_proba_into(x, &mut out);
-        out
-    }
-
     // hmd-analyze: hot-path
-    // hmd-analyze: allow(transitive-hot-path-alloc, "members are dyn Classifier, so resolution conservatively includes the allocating predict_proba compat shim; every shipped classifier overrides predict_proba_into")
+    // hmd-analyze: allow(transitive-hot-path-alloc, "members are dyn Classifier, so resolution reaches KNN's predict_proba_into and its per-query distance buffer; members are built from a ClassifierKind, whose scorers are allocation-free")
     fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
         assert!(!self.models.is_empty(), "Bagging not fitted");
         assert_eq!(

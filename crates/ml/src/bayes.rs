@@ -141,28 +141,6 @@ impl Classifier for NaiveBayes {
         Ok(())
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        assert!(!self.classes.is_empty(), "NaiveBayes not fitted");
-        let log_posts: Vec<f64> = self
-            .classes
-            .iter()
-            .map(|c| {
-                let mut lp = c.log_prior;
-                for ((v, m), var) in x.iter().zip(&c.means).zip(&c.vars) {
-                    let diff = v - m;
-                    lp +=
-                        -0.5 * (2.0 * std::f64::consts::PI * var).ln() - diff * diff / (2.0 * var);
-                }
-                lp
-            })
-            .collect();
-        // Softmax over log posteriors.
-        let max = log_posts.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = log_posts.iter().map(|l| (l - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        exps.into_iter().map(|e| e / sum).collect()
-    }
-
     fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
         assert!(!self.classes.is_empty(), "NaiveBayes not fitted");
         assert_eq!(
@@ -172,8 +150,8 @@ impl Classifier for NaiveBayes {
             out.len(),
             self.classes.len()
         );
-        // Same operation order as `predict_proba`, written into `out`:
-        // log posteriors, softmax shift by the max, normalize.
+        // Log posteriors, then a softmax: shift by the max, exponentiate,
+        // normalize.
         for (slot, c) in out.iter_mut().zip(&self.classes) {
             let mut lp = c.log_prior;
             for ((v, m), var) in x.iter().zip(&c.means).zip(&c.vars) {

@@ -78,38 +78,31 @@ pub trait Classifier: fmt::Debug + Send + Sync {
     /// Returns [`TrainError`] if the data cannot support a model.
     fn fit(&mut self, data: &Dataset) -> Result<(), TrainError>;
 
-    /// Class-membership probabilities for one instance
-    /// (length = `n_classes`, sums to 1).
+    /// Writes class-membership probabilities for one instance into `out`
+    /// (one slot per class, summing to 1), overwriting every slot.
     ///
-    /// # Panics
-    ///
-    /// Panics if the model has not been fitted, or `x` has the wrong number
-    /// of features.
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64>;
-
-    /// Writes class-membership probabilities for one instance into `out`,
-    /// the allocation-free form of [`predict_proba`](Self::predict_proba).
-    ///
-    /// The contract is strict: the written values are **bit-identical** to
-    /// what `predict_proba` returns. Hot paths (serving, online detection)
-    /// call this with a reused scratch buffer; the `Vec`-returning method
-    /// stays as the convenient form. The default implementation allocates
-    /// via `predict_proba`; performance-relevant classifiers override it.
+    /// This is each classifier's one scoring path: hot paths (serving,
+    /// online detection) call it with a reused scratch buffer, and
+    /// [`predict_proba`](Self::predict_proba) wraps it.
     ///
     /// # Panics
     ///
     /// Panics if the model has not been fitted, `x` has the wrong number of
     /// features, or `out.len() != n_classes`.
-    fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
-        let p = self.predict_proba(x);
-        assert_eq!(
-            out.len(),
-            p.len(),
-            "predict_proba_into: out has {} slots for {} classes",
-            out.len(),
-            p.len()
-        );
-        out.copy_from_slice(&p);
+    fn predict_proba_into(&self, x: &[f64], out: &mut [f64]);
+
+    /// Class-membership probabilities for one instance
+    /// (length = `n_classes`, sums to 1): allocates the output and fills it
+    /// with [`predict_proba_into`](Self::predict_proba_into).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model has not been fitted, or `x` has the wrong number
+    /// of features.
+    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.n_classes()];
+        self.predict_proba_into(x, &mut out);
+        out
     }
 
     /// Writes class-membership probabilities for every lane of a
@@ -117,8 +110,7 @@ pub trait Classifier: fmt::Debug + Send + Sync {
     /// `out[lane * n_classes + c]`) — the batched form of
     /// [`predict_proba_into`](Self::predict_proba_into).
     ///
-    /// The contract is the batched extension of the scalar one: for every
-    /// lane, the written row is **bit-identical** to a scalar
+    /// For every lane, the written row is **bit-identical** to a scalar
     /// `predict_proba_into` call on that lane's feature row. The default
     /// implementation guarantees this by construction (it gathers each
     /// lane and calls the scalar path); batch-shaped overrides (compiled
@@ -130,7 +122,7 @@ pub trait Classifier: fmt::Debug + Send + Sync {
     /// Panics if the model has not been fitted, the batch has the wrong
     /// number of features, or `out.len() != n_lanes × n_classes`.
     // hmd-analyze: hot-path
-    // hmd-analyze: allow(transitive-hot-path-alloc, "default gathers each lane and calls the scalar predict_proba_into, whose self dispatch conservatively includes the allocating compat shim; perf-relevant classifiers override both")
+    // hmd-analyze: allow(transitive-hot-path-alloc, "default gathers each lane and calls the scalar predict_proba_into, whose self dispatch resolves name-wide to KNN's and its per-query distance buffer; every other scalar scorer is allocation-free")
     fn predict_proba_batch_into(&self, batch: &BatchScratch, out: &mut [f64]) {
         let k = self.n_classes();
         assert_eq!(

@@ -78,8 +78,15 @@ impl Classifier for Knn {
         Ok(())
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+    fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
         let f = self.fitted.as_ref().expect("KNN not fitted");
+        assert_eq!(
+            out.len(),
+            f.n_classes,
+            "predict_proba_into: out has {} slots for {} classes",
+            out.len(),
+            f.n_classes
+        );
         let q = f.standardizer.transform_row(x);
         // Squared distances to every training point.
         let mut dists: Vec<(f64, usize)> = f
@@ -96,12 +103,14 @@ impl Classifier for Knn {
             a.0.partial_cmp(&b.0).expect("finite distances")
         });
         // Inverse-distance-weighted vote over the k nearest.
-        let mut votes = vec![0.0; f.n_classes];
+        out.fill(0.0);
         for &(d2, l) in &dists[..k] {
-            votes[l] += 1.0 / (d2.sqrt() + 1e-9);
+            out[l] += 1.0 / (d2.sqrt() + 1e-9);
         }
-        let total: f64 = votes.iter().sum();
-        votes.into_iter().map(|v| v / total).collect()
+        let total: f64 = out.iter().sum();
+        for v in out.iter_mut() {
+            *v /= total;
+        }
     }
 
     fn n_classes(&self) -> usize {

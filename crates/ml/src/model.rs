@@ -126,14 +126,8 @@ impl Classifier for AnyModel {
         }
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_classes()];
-        self.predict_proba_into(x, &mut out);
-        out
-    }
-
     // hmd-analyze: hot-path
-    // hmd-analyze: allow(transitive-hot-path-alloc, "enum match dispatch: every arm calls the member's non-allocating override, but match-bound receivers resolve name-wide and pick up the allocating compat shim")
+    // hmd-analyze: allow(transitive-hot-path-alloc, "enum match dispatch: every arm calls its member's allocation-free predict_proba_into, but match-bound receivers resolve name-wide and reach KNN's per-query distance buffer, a model AnyModel cannot hold")
     fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
         match self {
             AnyModel::J48(m) => m.predict_proba_into(x, out),

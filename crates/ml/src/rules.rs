@@ -565,12 +565,6 @@ impl Classifier for JRip {
         self.fit_impl(data, Some(&cols))
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.fitted.as_ref().expect("JRip not fitted").n_classes];
-        self.predict_proba_into(x, &mut out);
-        out
-    }
-
     // hmd-analyze: hot-path
     fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
         let f = self.fitted.as_ref().expect("JRip not fitted");

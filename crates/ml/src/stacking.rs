@@ -109,15 +109,8 @@ impl Classifier for Voting {
         Ok(())
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        assert!(!self.models.is_empty(), "Voting not fitted");
-        let mut out = vec![0.0; self.n_classes];
-        self.predict_proba_into(x, &mut out);
-        out
-    }
-
     // hmd-analyze: hot-path
-    // hmd-analyze: allow(transitive-hot-path-alloc, "members are dyn Classifier, so resolution conservatively includes the allocating predict_proba compat shim; every shipped classifier overrides predict_proba_into")
+    // hmd-analyze: allow(transitive-hot-path-alloc, "members are dyn Classifier, so resolution reaches KNN's predict_proba_into and its per-query distance buffer; members are built from a ClassifierKind, whose scorers are allocation-free")
     fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
         assert!(!self.models.is_empty(), "Voting not fitted");
         assert_eq!(
@@ -315,14 +308,8 @@ impl Classifier for Stacking {
         Ok(())
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.meta.as_ref().expect("Stacking not fitted").n_classes()];
-        self.predict_proba_into(x, &mut out);
-        out
-    }
-
     // hmd-analyze: hot-path
-    // hmd-analyze: allow(transitive-hot-path-alloc, "base models and the meta learner are dyn Classifier, so resolution conservatively includes the allocating predict_proba compat shim; every shipped classifier overrides predict_proba_into")
+    // hmd-analyze: allow(transitive-hot-path-alloc, "base models are dyn Classifier, so resolution reaches KNN's predict_proba_into and its per-query distance buffer; bases are built from a ClassifierKind and the meta learner is MLR, whose scorers are allocation-free")
     fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
         let meta = self.meta.as_ref().expect("Stacking not fitted");
         STACKING_SCRATCH.with(|s| {

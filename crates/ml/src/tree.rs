@@ -1083,14 +1083,8 @@ impl Classifier for J48 {
         self.fit_presorted(data, &cols, None, None)
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_classes];
-        self.predict_proba_into(x, &mut out);
-        out
-    }
-
     // hmd-analyze: hot-path
-    // hmd-analyze: allow(transitive-hot-path-alloc, "the compiled-tree walk is allocation-free, but its untyped receiver resolves name-wide to every predict_proba_into, and the one-time lazy compile is amortized over all later calls")
+    // hmd-analyze: allow(transitive-hot-path-alloc, "the compiled-tree walk is allocation-free, but its untyped receiver resolves name-wide and reaches KNN's per-query distance buffer, and the one-time lazy compile is amortized over all later calls")
     fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
         let tree = self.compiled_tree();
         assert_eq!(

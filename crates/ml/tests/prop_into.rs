@@ -1,9 +1,11 @@
-//! Property-based bit-identity check for the zero-allocation inference
-//! path: for every classifier, `predict_proba_into` must produce results
-//! that are bit-for-bit identical to the allocating `predict_proba` on any
-//! fitted model and any input — not merely approximately equal. The
-//! determinism gates of this repo compare serialized probabilities, so a
-//! single differing ULP anywhere in the hot path would be a regression.
+//! Property-based checks of the one scoring path every classifier
+//! implements: `predict_proba_into` must overwrite every slot of `out`, so
+//! no stale buffer contents leak into a result, must return the same bits
+//! on a repeated call through the same scratch state, and
+//! `predict_proba_batch_into` must match a per-lane `predict_proba_into`
+//! bit-for-bit on any fitted model and any input — not merely approximately.
+//! The determinism gates of this repo compare serialized probabilities, so
+//! a single differing ULP anywhere in the hot path would be a regression.
 
 use hmd_ml::prelude::*;
 use proptest::prelude::*;
@@ -23,19 +25,20 @@ fn arb_binary_dataset() -> impl Strategy<Value = Dataset> {
     })
 }
 
-/// Asserts `predict_proba_into` ≡ `predict_proba` bit-for-bit on every
-/// training row, with the `out` buffer pre-poisoned so stale contents
-/// cannot leak through.
+/// Asserts `predict_proba_into` overwrites every slot of `out` on every
+/// training row: a NaN-poisoned buffer must come back bit-identical to
+/// `predict_proba`, whose fresh buffer starts at zero, so a slot left
+/// unwritten would differ between the two.
 fn assert_into_bit_identical(model: &dyn Classifier, data: &Dataset, label: &str) {
     let mut out = vec![f64::NAN; model.n_classes()];
     for i in 0..data.len() {
         let x = data.features_of(i);
-        let reference = model.predict_proba(x);
+        let zeroed = model.predict_proba(x);
         out.fill(f64::NAN);
         model.predict_proba_into(x, &mut out);
-        let a: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
+        let a: Vec<u64> = zeroed.iter().map(|v| v.to_bits()).collect();
         let b: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b, "{label}: row {i}: {reference:?} vs {out:?}");
+        assert_eq!(a, b, "{label}: row {i}: {zeroed:?} vs {out:?}");
         // Repeat once through the same scratch buffers: the reused
         // thread-local state must not drift between calls.
         model.predict_proba_into(x, &mut out);
@@ -83,17 +86,22 @@ proptest! {
         data in arb_binary_dataset(),
         seed in any::<u64>(),
     ) {
-        for kind in ClassifierKind::ALL {
-            // MLP epochs trimmed: the property is bit-identity of the two
-            // prediction paths, not accuracy.
-            let mut model: Box<dyn Classifier> = match kind {
-                ClassifierKind::Mlp => Box::new(Mlp::new(seed).with_epochs(5)),
-                other => other.build(seed),
-            };
+        // MLP epochs trimmed: the property is bit-identity, not accuracy.
+        let kinds = ClassifierKind::ALL.into_iter().map(|kind| match kind {
+            ClassifierKind::Mlp => {
+                Box::new(Mlp::new(seed).with_epochs(5)) as Box<dyn Classifier>
+            }
+            other => other.build(seed),
+        });
+        // The extended baselines run the trait's default batch path over
+        // their own `predict_proba_into`.
+        let baselines: [Box<dyn Classifier>; 2] =
+            [Box::new(NaiveBayes::new()), Box::new(Knn::new(3))];
+        for mut model in kinds.chain(baselines) {
             model.fit(&data).expect("fit succeeds on valid data");
-            assert_into_bit_identical(model.as_ref(), &data, kind.name());
+            assert_into_bit_identical(model.as_ref(), &data, model.name());
             for lanes in [1, 3, 17] {
-                assert_batch_bit_identical(model.as_ref(), &data, lanes, kind.name());
+                assert_batch_bit_identical(model.as_ref(), &data, lanes, model.name());
             }
         }
     }

@@ -13,15 +13,13 @@
 //! `--train tiny|small` (fallback when no snapshot is given),
 //! `--window N`, `--votes N`, `--workers N` (0 = TWOSMART_THREADS
 //! conventions), `--max-conns N`, `--seed N`,
-//! `--event-loop ready|busy` (readiness-paced workers, default `ready`;
-//! `busy` keeps the original poll-everything loop as an oracle),
 //! `--store btree|slab` (session store, default `slab`; `btree` keeps
 //! the original ordered-map store as an oracle).
 
 use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
 use hmd_hpc_sim::workload::AppClass;
 use hmd_ml::classifier::ClassifierKind;
-use hmd_serve::server::{serve, EventLoop, ServeConfig};
+use hmd_serve::server::{serve, ServeConfig};
 use hmd_serve::session::{SessionConfig, StoreKind};
 use twosmart::detector::TwoSmartDetector;
 use twosmart::persist::DetectorSnapshot;
@@ -63,7 +61,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         addr: args.addr,
         workers: args.workers,
         max_connections: args.max_conns,
-        event_loop: args.event_loop,
         session: SessionConfig {
             window: args.window,
             votes: args.votes,
@@ -92,7 +89,6 @@ struct Args {
     workers: usize,
     max_conns: usize,
     seed: u64,
-    event_loop: EventLoop,
     store: StoreKind,
 }
 
@@ -107,7 +103,6 @@ impl Args {
             workers: 0,
             max_conns: 1024,
             seed: 11,
-            event_loop: EventLoop::Readiness,
             store: StoreKind::Slab,
         };
         while let Some(flag) = argv.next() {
@@ -124,23 +119,12 @@ impl Args {
                 "--workers" => args.workers = parse_num(&value("--workers")?)?,
                 "--max-conns" => args.max_conns = parse_num(&value("--max-conns")?)?,
                 "--seed" => args.seed = parse_num(&value("--seed")?)? as u64,
-                "--event-loop" => {
-                    args.event_loop = match value("--event-loop")?.as_str() {
-                        "ready" => EventLoop::Readiness,
-                        "busy" => EventLoop::BusyPoll,
-                        other => {
-                            return Err(format!(
-                                "--event-loop must be ready or busy, got {other:?}"
-                            ));
-                        }
-                    };
-                }
                 "--store" => args.store = value("--store")?.parse()?,
                 "--help" | "-h" => {
                     return Err("usage: serve [--addr HOST:PORT] [--snapshot PATH] \
                                 [--train tiny|small] [--window N] [--votes N] \
                                 [--workers N] [--max-conns N] [--seed N] \
-                                [--event-loop ready|busy] [--store btree|slab]"
+                                [--store btree|slab]"
                         .into());
                 }
                 other => return Err(format!("unknown flag {other:?} (try --help)")),

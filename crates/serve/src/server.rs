@@ -18,10 +18,6 @@
 //!
 //! Connections are long-lived, so a *fixed* pool must multiplex: each
 //! worker pumps the connections it owns instead of parking on one socket.
-//! [`EventLoop::Readiness`] (the default) is the paced loop above;
-//! [`EventLoop::BusyPoll`] keeps the original pump-everything-every-pass
-//! loop as a behavioural oracle — verdict streams are bit-identical
-//! between the two, only CPU usage differs.
 //!
 //! The in-flight budget is explicit — when
 //! [`ServeConfig::max_connections`] is reached, new connections get one
@@ -56,7 +52,7 @@ use std::time::{Duration, Instant};
 use twosmart::detector::TwoSmartDetector;
 use twosmart::online::OnlineError;
 
-/// Probe interval for an active connection (readiness mode).
+/// Probe interval for an active connection.
 const IDLE_BASE: Duration = Duration::from_micros(200);
 /// Probe ceiling for a long-idle connection: its worst-case added first-
 /// byte latency, and the bound on per-idle-connection CPU (one
@@ -64,18 +60,6 @@ const IDLE_BASE: Duration = Duration::from_micros(200);
 const IDLE_CAP: Duration = Duration::from_millis(100);
 /// Longest a worker parks without rechecking the stop flag.
 const PARK_MAX: Duration = Duration::from_millis(100);
-
-/// Which worker event loop runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventLoop {
-    /// Readiness-paced loop: due connections only, condvar parking. Idle
-    /// connections cost one probe per [`IDLE_CAP`] instead of a busy loop.
-    #[default]
-    Readiness,
-    /// The original pump-every-connection-every-pass loop, kept as the
-    /// behavioural oracle for tests and A/B comparisons.
-    BusyPoll,
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -99,9 +83,6 @@ pub struct ServeConfig {
     /// legitimately burst frames while replies drain slowly, and the two
     /// directions deserve independent budgets.
     pub max_inbuf: usize,
-    /// Which worker event loop runs ([`EventLoop::Readiness`] default;
-    /// [`EventLoop::BusyPoll`] is the oracle).
-    pub event_loop: EventLoop,
     /// Run the idle-session sweep every this many accepted submits.
     /// `0` disables periodic sweeps.
     pub evict_every: u64,
@@ -117,7 +98,6 @@ impl Default for ServeConfig {
             max_connections: 1024,
             max_outbuf: 1 << 20,
             max_inbuf: 256 << 10,
-            event_loop: EventLoop::Readiness,
             evict_every: 1 << 16,
             session: SessionConfig::default(),
         }
@@ -365,7 +345,6 @@ fn shed(stream: TcpStream, shared: &Shared) {
 }
 
 fn worker_loop(shared: &Shared, inbox: &Inbox) {
-    let readiness = shared.config.event_loop == EventLoop::Readiness;
     let pacer = Pacer::new(IDLE_BASE, IDLE_CAP);
     let mut conns: Vec<WorkerConn> = Vec::new();
     let mut read_chunk = [0u8; 16 * 1024];
@@ -374,7 +353,7 @@ fn worker_loop(shared: &Shared, inbox: &Inbox) {
         let mut stopping = shared.stop.load(Ordering::SeqCst);
         {
             let mut incoming = inbox.lock();
-            if readiness && !stopping && incoming.is_empty() {
+            if !stopping && incoming.is_empty() {
                 // Park until a connection is due, a new one arrives, or
                 // the stop-recheck interval elapses. The bell is rung
                 // under this lock, so the wakeup cannot slip between the
@@ -403,7 +382,7 @@ fn worker_loop(shared: &Shared, inbox: &Inbox) {
         let now = Instant::now();
         let mut progress = false;
         for wc in &mut conns {
-            if readiness && !stopping && !pacer.is_due(&wc.sched, now) {
+            if !stopping && !pacer.is_due(&wc.sched, now) {
                 continue;
             }
             let moved = pump(&mut wc.conn, &shared.service, &mut read_chunk, stopping);
@@ -433,9 +412,9 @@ fn worker_loop(shared: &Shared, inbox: &Inbox) {
                 return;
             }
         }
-        if !progress && (stopping || !readiness) {
-            // BusyPoll pacing (and the drain loop): brief sleep instead of
-            // condvar parking, preserving the original oracle behaviour.
+        if !progress && stopping {
+            // The drain loop sleeps briefly instead of parking: it runs
+            // every connection every pass until the backlogs flush.
             std::thread::sleep(Duration::from_micros(200));
         }
     }

@@ -53,8 +53,8 @@ use twosmart::persist::DetectorSnapshot;
 ///
 /// Both stores implement identical observable behaviour (verdicts,
 /// eviction sets, eviction order, gauges); the slab is the fast path and
-/// the BTreeMap is the oracle it is regression-tested against (repo
-/// convention, like `fit_naive` / `BusyPoll`).
+/// the BTreeMap is the oracle it is regression-tested against, as the
+/// learners' `fit_naive` is for their presorted training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreKind {
     /// `BTreeMap<u64, HostSession>` per shard, full-scan retain eviction.

@@ -3,7 +3,7 @@
 //!
 //! 1. verdicts over the wire are bit-identical to an in-process
 //!    [`OnlineDetector`] fed the same stream, per host, across runs,
-//!    worker counts, protocol versions *and* event-loop modes;
+//!    worker counts *and* protocol versions;
 //! 2. a malformed or wrong-arity frame never kills the connection worker;
 //! 3. load shedding answers `Error{overloaded}` instead of queueing, and
 //!    shed peers that never read cannot stall the accept loop;
@@ -17,7 +17,7 @@ use twosmart_suite::ml::classifier::ClassifierKind;
 use twosmart_suite::serve::client::{ClientError, DetectorClient};
 use twosmart_suite::serve::loadgen::host_stream;
 use twosmart_suite::serve::protocol::{encode, ErrorCode, Frame, WireFormat};
-use twosmart_suite::serve::server::{serve, EventLoop, ServeConfig, ServerHandle};
+use twosmart_suite::serve::server::{serve, ServeConfig, ServerHandle};
 use twosmart_suite::serve::session::SessionConfig;
 use twosmart_suite::twosmart::detector::{TwoSmartDetector, Verdict};
 use twosmart_suite::twosmart::online::OnlineDetector;
@@ -240,38 +240,43 @@ fn fatal_error_is_queued_once_for_a_slow_reader() {
     // flush genuinely stalls. max_outbuf is raised so read-side
     // backpressure does not kick in before the garbage tail is decoded.
     const DRAINS: usize = 20_000;
-    for event_loop in [EventLoop::BusyPoll, EventLoop::Readiness] {
-        let detector = trained_detector();
-        let handle = start_server_cfg(detector, 1, 16, |c| {
-            c.event_loop = event_loop;
-            c.max_outbuf = 64 << 20;
-        });
-        let addr = handle.addr();
-        let mut rogue = DetectorClient::connect(addr, Duration::from_secs(10)).unwrap();
-        let drain = encode(&Frame::Drain { stats: None });
-        let mut burst = Vec::with_capacity(DRAINS * drain.len() + 32);
-        for _ in 0..DRAINS {
-            burst.extend_from_slice(&drain);
-        }
-        burst.extend_from_slice(b"GET / HTTP/1.1\r\n\r\n"); // oversized prefix
-        rogue.send_raw_for_test(&burst).unwrap();
-
-        // Never read from `rogue`; give the worker plenty of passes to
-        // exhibit the bug (the buggy loop re-queued the error every pass,
-        // so 600 ms ≈ thousands of duplicates at the 200 µs cadence).
-        std::thread::sleep(Duration::from_millis(600));
-        let stats = handle.metrics().snapshot();
-        assert_eq!(
-            stats.malformed, 1,
-            "fatal framing error must be counted exactly once ({event_loop:?}): {stats:?}"
-        );
-        assert!(
-            stats.frames_out <= DRAINS as u64 + 8,
-            "backlog must stay bounded by real replies ({event_loop:?}): {stats:?}"
-        );
-        drop(rogue);
-        handle.shutdown();
+    let detector = trained_detector();
+    let handle = start_server_cfg(detector, 1, 16, |c| c.max_outbuf = 64 << 20);
+    let addr = handle.addr();
+    let mut rogue = DetectorClient::connect(addr, Duration::from_secs(10)).unwrap();
+    let drain = encode(&Frame::Drain { stats: None });
+    let mut burst = Vec::with_capacity(DRAINS * drain.len() + 32);
+    for _ in 0..DRAINS {
+        burst.extend_from_slice(&drain);
     }
+    burst.extend_from_slice(b"GET / HTTP/1.1\r\n\r\n"); // oversized prefix
+    rogue.send_raw_for_test(&burst).unwrap();
+
+    // Never read from `rogue`. Wait until the worker has decoded every
+    // Drain and reached the garbage tail (a loaded debug build needs well
+    // over a second for that), then give it plenty of passes to exhibit
+    // the bug (the buggy loop re-queued the error on every pass).
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while handle.metrics().snapshot().malformed == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the garbage tail was never decoded: {:?}",
+            handle.metrics().snapshot()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    std::thread::sleep(Duration::from_millis(600));
+    let stats = handle.metrics().snapshot();
+    assert_eq!(
+        stats.malformed, 1,
+        "fatal framing error must be counted exactly once: {stats:?}"
+    );
+    assert!(
+        stats.frames_out <= DRAINS as u64 + 8,
+        "backlog must stay bounded by real replies: {stats:?}"
+    );
+    drop(rogue);
+    handle.shutdown();
 }
 
 /// Shed replies are written best-effort and nonblocking from the accept
@@ -342,7 +347,7 @@ fn verdict_bits(host: u64, seq: u64, v: &Option<Verdict>) -> VerdictBits {
 }
 
 #[test]
-fn verdict_streams_are_identical_across_protocols_and_event_loops() {
+fn verdict_streams_are_identical_across_protocols() {
     let detector = trained_detector();
     let hosts: Vec<u64> = vec![6, 27];
     let streams: Vec<Vec<Vec<f64>>> = hosts
@@ -361,35 +366,32 @@ fn verdict_streams_are_identical_across_protocols_and_event_loops() {
         })
         .collect();
 
-    for event_loop in [EventLoop::Readiness, EventLoop::BusyPoll] {
-        for workers in [1, 4] {
-            for format in [WireFormat::V1Json, WireFormat::V2Binary] {
-                let handle =
-                    start_server_cfg(detector.clone(), workers, 64, |c| c.event_loop = event_loop);
-                let addr = handle.addr();
-                let observed: Vec<Vec<VerdictBits>> = hosts
-                    .iter()
-                    .zip(&streams)
-                    .map(|(&h, s)| {
-                        let mut client =
-                            DetectorClient::connect_with(addr, Duration::from_secs(10), format)
-                                .expect("connects");
-                        assert_eq!(client.protocol(), format);
-                        s.iter()
-                            .enumerate()
-                            .map(|(seq, r)| {
-                                let v = client.submit(h, seq as u64, r).expect("submit succeeds");
-                                verdict_bits(h, seq as u64, &v)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                assert_eq!(
-                    observed, expected,
-                    "verdict stream diverged at {event_loop:?} workers={workers} {format:?}"
-                );
-                handle.shutdown();
-            }
+    for workers in [1, 4] {
+        for format in [WireFormat::V1Json, WireFormat::V2Binary] {
+            let handle = start_server(detector.clone(), workers, 64);
+            let addr = handle.addr();
+            let observed: Vec<Vec<VerdictBits>> = hosts
+                .iter()
+                .zip(&streams)
+                .map(|(&h, s)| {
+                    let mut client =
+                        DetectorClient::connect_with(addr, Duration::from_secs(10), format)
+                            .expect("connects");
+                    assert_eq!(client.protocol(), format);
+                    s.iter()
+                        .enumerate()
+                        .map(|(seq, r)| {
+                            let v = client.submit(h, seq as u64, r).expect("submit succeeds");
+                            verdict_bits(h, seq as u64, &v)
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                observed, expected,
+                "verdict stream diverged at workers={workers} {format:?}"
+            );
+            handle.shutdown();
         }
     }
 }
