@@ -8,7 +8,7 @@ use hmd_hpc_sim::workload::AppClass;
 use hmd_ml::classifier::ClassifierKind;
 use hmd_serve::metrics::Metrics;
 use hmd_serve::protocol::{encode, encode_frame_into, encode_into, Frame, FrameBuffer, WireFormat};
-use hmd_serve::session::{SessionConfig, SessionEngine};
+use hmd_serve::session::{SessionConfig, SessionEngine, SubmitBatch};
 use hmd_serve::wire2;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -156,10 +156,15 @@ fn bench_session_submit(c: &mut Criterion) {
     .expect("engine builds");
     let counters = [1.25e6, 3.1e5, 4.7e4, 9.9e3];
     let mut seq = 0u64;
+    // One-item drains through one reused batch, so no iteration allocates.
+    let mut batch = SubmitBatch::new();
     c.bench_function("session/submit_single_host", |b| {
         b.iter(|| {
             seq += 1;
-            engine.submit(black_box(1), seq, black_box(&counters))
+            batch.clear();
+            batch.push(black_box(1), seq, black_box(&counters));
+            engine.submit_batch(&mut batch);
+            batch.results().all(|(_, r)| r.is_ok())
         })
     });
 }

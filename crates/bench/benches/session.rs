@@ -9,7 +9,7 @@ use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
 use hmd_hpc_sim::workload::AppClass;
 use hmd_ml::classifier::ClassifierKind;
 use hmd_serve::metrics::Metrics;
-use hmd_serve::session::{SessionConfig, SessionEngine, StoreKind, TimeSource};
+use hmd_serve::session::{SessionConfig, SessionEngine, StoreKind, SubmitBatch, TimeSource};
 use std::hint::black_box;
 use std::sync::Arc;
 use twosmart::detector::TwoSmartDetector;
@@ -41,19 +41,36 @@ fn engine(store: StoreKind, idle_after: u64) -> SessionEngine {
     .expect("engine builds")
 }
 
+/// One submit as a one-item drain through `batch`, which is reused across
+/// calls so no row times an allocation. Returns whether it was accepted.
+fn submit(
+    e: &SessionEngine,
+    batch: &mut SubmitBatch,
+    host: u64,
+    seq: u64,
+    counters: &[f64],
+) -> bool {
+    batch.clear();
+    batch.push(host, seq, counters);
+    e.submit_batch(batch);
+    batch.results().all(|(_, r)| r.is_ok())
+}
+
 const RESIDENT: u64 = 100_000;
 
 /// The store path of a submit against 100k resident sessions: shard
-/// lock, host-id → session lookup, seq check. Measured with a
-/// duplicate-seq probe — the engine resolves the session and rejects the
-/// replay before touching detector state — because a verdict-producing
-/// submit spends ~500 ns in inference and per-host detector state that
-/// is byte-identical across stores and would mask the store delta (see
+/// lock, host-id → session lookup, seq check, as a one-item drain.
+/// Measured with a duplicate-seq probe — the engine resolves the session
+/// and rejects the replay before touching window state — because a
+/// verdict-producing submit spends most of its time in windowing and
+/// inference, which are identical across stores and would mask the store
+/// delta (see
 /// the `_e2e` rows for that full cost). Hosts are visited in a
 /// locality-hostile stride; a single shard so the oracle's tree depth
 /// reflects the whole resident population rather than shard count.
 fn bench_submit_resident(c: &mut Criterion) {
     let counters = [1.25e6, 3.1e5, 4.7e4, 9.9e3];
+    let mut batch = SubmitBatch::new();
     for (name, store) in [
         ("session/submit_resident_100k", StoreKind::Slab),
         ("session/submit_resident_100k_btree", StoreKind::BTree),
@@ -61,19 +78,20 @@ fn bench_submit_resident(c: &mut Criterion) {
         let e = engine(store, u64::MAX);
         e.set_time(0);
         for h in 0..RESIDENT {
-            e.submit(h, 0, &counters).unwrap();
+            assert!(submit(&e, &mut batch, h, 0, &counters));
         }
         let mut h = 0u64;
         c.bench_function(name, |b| {
             b.iter(|| {
                 h = (h + 77_773) % RESIDENT;
-                e.submit(black_box(h), 0, black_box(&counters)).is_err()
+                !submit(&e, &mut batch, black_box(h), 0, black_box(&counters))
             })
         });
     }
     // End-to-end oracle rows: the same resident fleet, fresh seqs, full
-    // window push + inference per submit. Store cost is a small slice of
-    // this — the pair documents how much of a real submit the store is.
+    // window advance + inference per one-item drain. Store cost is a
+    // small slice of this — the pair documents how much of a real submit
+    // the store is.
     for (name, store) in [
         ("session/submit_resident_100k_e2e", StoreKind::Slab),
         ("session/submit_resident_100k_e2e_btree", StoreKind::BTree),
@@ -82,7 +100,7 @@ fn bench_submit_resident(c: &mut Criterion) {
         e.set_time(0);
         let mut seqs = vec![0u64; RESIDENT as usize];
         for h in 0..RESIDENT {
-            e.submit(h, seqs[h as usize], &counters).unwrap();
+            assert!(submit(&e, &mut batch, h, seqs[h as usize], &counters));
             seqs[h as usize] += 1;
         }
         let mut h = 0u64;
@@ -90,7 +108,7 @@ fn bench_submit_resident(c: &mut Criterion) {
             b.iter(|| {
                 h = (h + 77_773) % RESIDENT;
                 let seq = &mut seqs[h as usize];
-                let r = e.submit(black_box(h), *seq, black_box(&counters));
+                let r = submit(&e, &mut batch, black_box(h), *seq, black_box(&counters));
                 *seq += 1;
                 r
             })
@@ -124,12 +142,13 @@ fn bench_evict_tick(c: &mut Criterion) {
         let counters = [1.25e6, 3.1e5, 4.7e4, 9.9e3];
         let mut seqs = vec![0u64; HOSTS as usize];
         let mut evicted = Vec::new();
+        let mut batch = SubmitBatch::new();
         let mut tick = |now: u64, e: &SessionEngine| {
             e.set_time(now);
             for k in 0..COHORT {
                 let h = (now * COHORT + k) % HOSTS;
                 let seq = &mut seqs[h as usize];
-                e.submit(h, *seq, &counters).unwrap();
+                assert!(submit(e, &mut batch, h, *seq, &counters));
                 *seq += 1;
             }
             e.evict_idle_at_into(now, &mut evicted);

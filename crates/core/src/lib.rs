@@ -51,7 +51,7 @@ pub use detector::{
     TwoSmartDetector, Verdict,
 };
 pub use features::{derive_feature_sets, DerivedFeatures, FeatureSet, COMMON_EVENTS};
-pub use online::{OnlineDetector, OnlineError};
+pub use online::{HostWindow, OnlineDetector, OnlineError};
 pub use persist::{DetectorSnapshot, SnapshotError, SpecialistSnapshot};
 pub use stage1::Stage1Model;
 pub use stage2::{SpecializedDetector, Stage2Config};

@@ -2,20 +2,23 @@
 //! the raw two-stage classifier.
 //!
 //! A deployed HMD does not classify one 10 ms sample at a time — counter
-//! readings are noisy and program phases alternate. [`OnlineDetector`]
-//! wraps a 4-HPC [`TwoSmartDetector`] with the two mechanisms a real
-//! deployment needs:
+//! readings are noisy and program phases alternate. Two mechanisms sit
+//! between a 4-HPC [`TwoSmartDetector`] and the alarm:
 //!
 //! - a **sliding window** that aggregates the last `window` counter
 //!   readings into the mean-rate vector the classifier was trained on, and
 //! - **majority smoothing** over the last `votes` window verdicts, so a
 //!   single noisy window cannot flip the alarm.
 //!
+//! [`HostWindow`] is that per-host state and holds no model, so a server
+//! monitoring many hosts keeps one per host and scores every host's
+//! windows through one shared detector. [`OnlineDetector`] pairs one
+//! `HostWindow` with its own detector for a single monitored stream.
+//!
 //! Internally the window is a flat ring buffer with an incremental rolling
-//! sum — each [`push`](OnlineDetector::push) is O(k) in the number of
-//! programmed events instead of O(window·k) — and smoothing maintains
-//! per-class vote tallies, so the steady-state path performs no heap
-//! allocation at all.
+//! sum — each reading is O(k) in the number of programmed events instead
+//! of O(window·k) — and smoothing maintains per-class vote tallies, so the
+//! steady-state path performs no heap allocation at all.
 //!
 //! # Examples
 //!
@@ -44,7 +47,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised when constructing or feeding an [`OnlineDetector`].
+/// Errors raised when constructing or feeding a [`HostWindow`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OnlineError {
     /// The wrapped detector reads events beyond the 4 run-time HPCs.
@@ -57,6 +60,11 @@ pub enum OnlineError {
         expected: usize,
         /// Length of the rejected reading.
         got: usize,
+    },
+    /// A counter reading carried a NaN or infinite value.
+    BadValue {
+        /// Position of the first non-finite counter.
+        index: usize,
     },
 }
 
@@ -72,30 +80,30 @@ impl fmt::Display for OnlineError {
                 f,
                 "one reading per programmed event: expected {expected} counters, got {got}"
             ),
+            OnlineError::BadValue { index } => write!(f, "counter {index} is not finite"),
         }
     }
 }
 
 impl Error for OnlineError {}
 
-/// A deployable online detector: sliding-window aggregation plus
-/// majority-vote smoothing.
+/// One monitored host's window and vote state: sliding-window aggregation
+/// of its counter readings plus majority-vote smoothing of its raw
+/// verdicts. It holds no model; the caller scores each ready window.
 ///
 /// Samples live in a flat `window × k` ring buffer with a per-event rolling
 /// sum maintained incrementally (evicted reading subtracted, new reading
 /// added). HPC readings are integer counts below 2⁵³, for which the
 /// incremental sum is exact; as a belt-and-braces measure against drift on
 /// fractional inputs the sum is also rebuilt by a plain left fold each time
-/// the ring wraps, which amortizes to O(k) per push.
+/// the ring wraps, which amortizes to O(k) per reading.
 #[derive(Debug, Clone)]
-pub struct OnlineDetector {
-    detector: TwoSmartDetector,
+pub struct HostWindow {
     window: usize,
     votes: usize,
-    /// Number of programmed events (reading arity), fixed at construction.
-    k: usize,
-    /// 44-event feature index of each programmed event, cached so a push
-    /// skips the detector's per-call deployability re-verification.
+    /// 44-event feature index of each programmed event, cached so a
+    /// reading skips the detector's per-call deployability
+    /// re-verification. Its length is the reading arity `k`.
     event_indices: Vec<usize>,
     /// Flat `window × k` sample ring; slot `i` is `ring[i*k..(i+1)*k]`.
     ring: Vec<f64>,
@@ -105,20 +113,16 @@ pub struct OnlineDetector {
     pos: usize,
     /// Rolling per-event sums over the retained samples.
     sums: Vec<f64>,
-    /// Window-mean scratch handed to the detector.
-    mean: Vec<f64>,
     /// Retained raw verdicts, oldest first (capacity-bounded, never grows).
     verdicts: VecDeque<Verdict>,
     /// How many retained verdicts flag malware (of any class).
     malware_votes: usize,
     /// Per-class vote tallies, indexed in [`AppClass::MALWARE`] order.
     class_votes: [usize; AppClass::MALWARE.len()],
-    /// Detection scratch reused across pushes.
-    scratch: DetectScratch,
 }
 
-impl OnlineDetector {
-    /// Wraps a trained 4-HPC detector.
+impl HostWindow {
+    /// Empty window state for readings of `detector`'s run-time events.
     ///
     /// `window` is the number of 10 ms readings aggregated per raw verdict;
     /// `votes` is the number of recent raw verdicts over which the smoothed
@@ -130,10 +134,10 @@ impl OnlineDetector {
     /// than the 4 Common events; [`OnlineError::ZeroLength`] if `window` or
     /// `votes` is zero.
     pub fn new(
-        detector: TwoSmartDetector,
+        detector: &TwoSmartDetector,
         window: usize,
         votes: usize,
-    ) -> Result<OnlineDetector, OnlineError> {
+    ) -> Result<HostWindow, OnlineError> {
         if window == 0 {
             return Err(OnlineError::ZeroLength("window"));
         }
@@ -144,114 +148,67 @@ impl OnlineDetector {
             return Err(OnlineError::NotDeployable);
         };
         let k = events.len();
-        let event_indices = events.iter().map(|e| e.index()).collect();
-        Ok(OnlineDetector {
-            detector,
+        Ok(HostWindow {
             window,
             votes,
-            k,
-            event_indices,
+            event_indices: events.iter().map(|e| e.index()).collect(),
             ring: vec![0.0; window * k],
             filled: 0,
             pos: 0,
             sums: vec![0.0; k],
-            mean: vec![0.0; k],
             verdicts: VecDeque::with_capacity(votes),
             malware_votes: 0,
             class_votes: [0; AppClass::MALWARE.len()],
-            scratch: DetectScratch::new(),
         })
     }
 
-    /// The wrapped detector.
-    pub fn detector(&self) -> &TwoSmartDetector {
-        &self.detector
-    }
-
-    /// Counters each reading must carry: one per programmed event. This is
-    /// fixed at construction, so callers can validate input arity without
-    /// re-deriving the deployment's event set.
+    /// Counters each reading must carry: one per programmed event.
     pub fn arity(&self) -> usize {
-        self.k
+        self.event_indices.len()
     }
 
-    /// The aggregation window length in samples.
-    pub fn window(&self) -> usize {
-        self.window
+    /// Heap bytes this state owns: the capacities of its buffers.
+    pub fn heap_bytes(&self) -> usize {
+        self.event_indices.capacity() * size_of::<usize>()
+            + (self.ring.capacity() + self.sums.capacity()) * size_of::<f64>()
+            + self.verdicts.capacity() * size_of::<Verdict>()
     }
 
-    /// Number of raw verdicts in the smoothing majority.
-    pub fn votes(&self) -> usize {
-        self.votes
-    }
-
-    /// Number of further [`push`](Self::push) calls needed before a verdict
-    /// is produced (0 once the window is full).
-    pub fn warmup_remaining(&self) -> usize {
-        self.window - self.filled
-    }
-
-    /// Feeds one counter reading (in [`TwoSmartDetector::runtime_events`]
-    /// order). Returns the smoothed verdict once the window has filled,
-    /// `None` during warm-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counters` has the wrong length. Service paths handling
-    /// untrusted input should call [`try_push`](Self::try_push) instead.
-    // hmd-analyze: hot-path
-    pub fn push(&mut self, counters: &[f64]) -> Option<Verdict> {
-        self.try_push(counters)
-            .expect("one reading per programmed event")
-    }
-
-    /// Non-panicking [`push`](Self::push): rejects a wrong-length reading
-    /// with [`OnlineError::BadLength`] and leaves the window and vote state
-    /// untouched, so a malformed submission cannot corrupt or kill a
-    /// serving session.
-    ///
-    /// # Errors
-    ///
-    /// [`OnlineError::BadLength`] if `counters` does not have one entry per
-    /// programmed event.
-    // hmd-analyze: hot-path
-    pub fn try_push(&mut self, counters: &[f64]) -> Result<Option<Verdict>, OnlineError> {
-        let mut features44 = [0.0; Event::COUNT];
-        if !self.advance_window(counters, &mut features44)? {
-            return Ok(None);
-        }
-        let raw = self.detector.detect_with(&features44, &mut self.scratch);
-        Ok(Some(self.apply_verdict(raw)))
-    }
-
-    /// The windowing half of [`try_push`](Self::try_push): folds one
-    /// reading into the ring and, once the window is full, writes the
-    /// 44-event window-mean expansion into `features44` and returns
-    /// `Ok(true)` — a raw verdict is now due. Returns `Ok(false)` during
-    /// warm-up. Only the programmed events' slots are written, so callers
-    /// must hand in a zeroed array (as `try_push` does).
+    /// Folds one reading (in [`TwoSmartDetector::runtime_events`] order)
+    /// into the ring and, once the window is full, writes the 44-event
+    /// window-mean expansion into `features44` and returns `Ok(true)`: a
+    /// raw verdict is now due. Returns `Ok(false)` during warm-up. Only
+    /// the programmed events' slots are written, so callers must hand in
+    /// a zeroed array.
     ///
     /// Splitting windowing from classification lets a serving shard
-    /// aggregate many sessions' ready windows and score them through one
-    /// batched detector call; `advance_window` + `detect_with` +
-    /// [`apply_verdict`](Self::apply_verdict) is exactly `try_push`.
+    /// aggregate many hosts' ready windows and score them through one
+    /// batched detector call; the raw verdict then goes to
+    /// [`apply_verdict`](Self::apply_verdict).
     ///
     /// # Errors
     ///
     /// [`OnlineError::BadLength`] if `counters` does not have one entry per
-    /// programmed event (window and vote state stay untouched).
+    /// programmed event, [`OnlineError::BadValue`] if one is NaN or
+    /// infinite. Either way window and vote state stay untouched, so a
+    /// malformed reading cannot corrupt a serving session.
     // hmd-analyze: hot-path
     pub fn advance_window(
         &mut self,
         counters: &[f64],
         features44: &mut [f64; Event::COUNT],
     ) -> Result<bool, OnlineError> {
-        let k = self.k;
+        let k = self.arity();
         if counters.len() != k {
             return Err(OnlineError::BadLength {
                 expected: k,
                 got: counters.len(),
             });
+        }
+        // A non-finite value would poison the rolling sums (evicting an
+        // infinity computes inf − inf), so it never reaches them.
+        if let Some(index) = counters.iter().position(|v| !v.is_finite()) {
+            return Err(OnlineError::BadValue { index });
         }
 
         // Ring update: subtract the evicted reading (if any), overwrite its
@@ -290,20 +247,14 @@ impl OnlineDetector {
         // Window mean, expanded to the 44-event layout. The expansion uses
         // the cached indices — the same mapping `detect_from_counters`
         // performs, minus its per-call deployability re-verification.
-        for (&idx, (m, &s)) in self
-            .event_indices
-            .iter()
-            .zip(self.mean.iter_mut().zip(self.sums.iter()))
-        {
-            *m = s / self.window as f64;
-            features44[idx] = *m;
+        for (&idx, &s) in self.event_indices.iter().zip(self.sums.iter()) {
+            features44[idx] = s / self.window as f64;
         }
         Ok(true)
     }
 
-    /// The smoothing half of [`try_push`](Self::try_push): folds one raw
-    /// verdict into the vote ring and returns the smoothed majority
-    /// decision.
+    /// Folds one raw verdict into the vote ring and returns the smoothed
+    /// majority decision.
     // hmd-analyze: hot-path
     pub fn apply_verdict(&mut self, raw: Verdict) -> Verdict {
         if self.verdicts.len() == self.votes {
@@ -366,7 +317,7 @@ impl OnlineDetector {
     }
 
     /// Clears window and vote state (e.g. when the monitored process
-    /// changes).
+    /// changes), keeping the buffers.
     pub fn reset(&mut self) {
         self.filled = 0;
         self.pos = 0;
@@ -374,6 +325,88 @@ impl OnlineDetector {
         self.verdicts.clear();
         self.malware_votes = 0;
         self.class_votes = [0; AppClass::MALWARE.len()];
+    }
+}
+
+/// A deployable online detector for one monitored stream: a
+/// [`HostWindow`] scored through its own detector.
+#[derive(Debug, Clone)]
+pub struct OnlineDetector {
+    host: HostWindow,
+    detector: TwoSmartDetector,
+    /// Detection scratch reused across pushes.
+    scratch: DetectScratch,
+}
+
+impl OnlineDetector {
+    /// Wraps a trained 4-HPC detector; see [`HostWindow::new`] for
+    /// `window`, `votes` and the errors.
+    ///
+    /// # Errors
+    ///
+    /// [`OnlineError::NotDeployable`] or [`OnlineError::ZeroLength`].
+    pub fn new(
+        detector: TwoSmartDetector,
+        window: usize,
+        votes: usize,
+    ) -> Result<OnlineDetector, OnlineError> {
+        Ok(OnlineDetector {
+            host: HostWindow::new(&detector, window, votes)?,
+            detector,
+            scratch: DetectScratch::new(),
+        })
+    }
+
+    /// Feeds one counter reading (in [`TwoSmartDetector::runtime_events`]
+    /// order). Returns the smoothed verdict once the window has filled,
+    /// `None` during warm-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counters` has the wrong length or a non-finite value.
+    /// Paths handling untrusted input call
+    /// [`advance_window`](Self::advance_window), which returns an error
+    /// instead.
+    // hmd-analyze: hot-path
+    pub fn push(&mut self, counters: &[f64]) -> Option<Verdict> {
+        let mut features44 = [0.0; Event::COUNT];
+        let ready = self
+            .host
+            .advance_window(counters, &mut features44)
+            .expect("one finite reading per programmed event");
+        if !ready {
+            return None;
+        }
+        let raw = self.detector.detect_with(&features44, &mut self.scratch);
+        Some(self.host.apply_verdict(raw))
+    }
+
+    /// The windowing half of [`push`](Self::push); see
+    /// [`HostWindow::advance_window`].
+    ///
+    /// # Errors
+    ///
+    /// As [`HostWindow::advance_window`].
+    // hmd-analyze: hot-path
+    pub fn advance_window(
+        &mut self,
+        counters: &[f64],
+        features44: &mut [f64; Event::COUNT],
+    ) -> Result<bool, OnlineError> {
+        self.host.advance_window(counters, features44)
+    }
+
+    /// The smoothing half of [`push`](Self::push); see
+    /// [`HostWindow::apply_verdict`].
+    // hmd-analyze: hot-path
+    pub fn apply_verdict(&mut self, raw: Verdict) -> Verdict {
+        self.host.apply_verdict(raw)
+    }
+
+    /// Clears window and vote state (e.g. when the monitored process
+    /// changes).
+    pub fn reset(&mut self) {
+        self.host.reset();
     }
 }
 
@@ -481,9 +514,13 @@ mod tests {
                     *e += v;
                 }
             }
-            let got: Vec<u64> = online.sums.iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = online.host.sums.iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want, "step {i}: {:?} vs {expected:?}", online.sums);
+            assert_eq!(
+                got, want,
+                "step {i}: {:?} vs {expected:?}",
+                online.host.sums
+            );
         }
     }
 
@@ -491,24 +528,23 @@ mod tests {
     fn smoothing_tie_breaks_to_lowest_malware_class() {
         // Equal tallies for two malware classes: the reported class must be
         // the lowest AppClass, deterministically.
-        let mut online = OnlineDetector::new(deployable_detector(), 1, 4).unwrap();
+        let mut host = HostWindow::new(&deployable_detector(), 1, 4).unwrap();
         for (class, confidence) in [
             (AppClass::Virus, 0.9),
             (AppClass::Backdoor, 0.6),
             (AppClass::Virus, 0.7),
             (AppClass::Backdoor, 0.8),
         ] {
-            online
-                .verdicts
+            host.verdicts
                 .push_back(Verdict::Malware { class, confidence });
-            online.malware_votes += 1;
-            online.class_votes[OnlineDetector::malware_index(class)] += 1;
+            host.malware_votes += 1;
+            host.class_votes[HostWindow::malware_index(class)] += 1;
         }
         // Backdoor precedes Virus in AppClass::MALWARE (ascending label
         // order), so the 2–2 tie resolves to Backdoor with the mean of the
         // Backdoor confidences.
         assert_eq!(
-            online.smoothed(),
+            host.smoothed(),
             Verdict::Malware {
                 class: AppClass::Backdoor,
                 confidence: (0.6 + 0.8) / 2.0,
@@ -517,30 +553,31 @@ mod tests {
     }
 
     #[test]
-    fn try_push_rejects_wrong_arity_without_corrupting_state() {
+    fn wrong_arity_is_rejected_without_corrupting_state() {
         let mut online = OnlineDetector::new(deployable_detector(), 2, 1).unwrap();
-        assert_eq!(online.try_push(&[1.0, 1.0, 1.0, 1.0]), Ok(None));
+        let mut f44 = [0.0; Event::COUNT];
+        assert_eq!(online.push(&[1.0, 1.0, 1.0, 1.0]), None);
         // Too short and too long are both rejected, and neither consumes a
         // window slot: the next valid push still completes the 2-window.
         assert_eq!(
-            online.try_push(&[1.0, 1.0]),
+            online.advance_window(&[1.0, 1.0], &mut f44),
             Err(OnlineError::BadLength {
                 expected: 4,
                 got: 2
             })
         );
         assert_eq!(
-            online.try_push(&[1.0; 7]),
+            online.advance_window(&[1.0; 7], &mut f44),
             Err(OnlineError::BadLength {
                 expected: 4,
                 got: 7
             })
         );
-        assert!(online.try_push(&[1.0, 1.0, 1.0, 1.0]).unwrap().is_some());
+        assert!(online.push(&[1.0, 1.0, 1.0, 1.0]).is_some());
     }
 
     #[test]
-    #[should_panic(expected = "one reading per programmed event")]
+    #[should_panic(expected = "one finite reading per programmed event")]
     fn push_panics_on_wrong_arity() {
         let mut online = OnlineDetector::new(deployable_detector(), 2, 1).unwrap();
         online.push(&[1.0, 2.0]);
@@ -556,9 +593,43 @@ mod tests {
     }
 
     #[test]
-    fn accessors_report_configuration() {
-        let online = OnlineDetector::new(deployable_detector(), 5, 3).unwrap();
-        assert_eq!(online.window(), 5);
-        assert_eq!(online.votes(), 3);
+    fn non_finite_counters_are_rejected_without_touching_state() {
+        // NaN and ±inf are refused before they reach the rolling sums, so
+        // the pushes that follow match a detector that never saw them.
+        // Finite negative counters are accepted: they leave the sums
+        // exactly and stage 1 clamps them.
+        let det = deployable_detector();
+        let mut probed = OnlineDetector::new(det.clone(), 3, 2).unwrap();
+        let mut clean = OnlineDetector::new(det, 3, 2).unwrap();
+        for i in 0..12u64 {
+            let x = 1e5 + (i * 37) as f64;
+            let sign = if i % 5 == 4 { -1.0 } else { 1.0 };
+            let reading = [x, sign * x / 3.0, x / 7.0, x / 11.0];
+            for (index, bad) in [(0, f64::NAN), (2, f64::INFINITY), (3, f64::NEG_INFINITY)] {
+                let mut r = reading;
+                r[index] = bad;
+                let mut f44 = [0.0; Event::COUNT];
+                let got = probed.advance_window(&r, &mut f44);
+                assert_eq!(got, Err(OnlineError::BadValue { index }));
+            }
+            assert_eq!(probed.push(&reading), clean.push(&reading), "reading {i}");
+            let bits = |o: &OnlineDetector| -> Vec<u64> {
+                o.host.sums.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&probed), bits(&clean), "sums after reading {i}");
+        }
+    }
+
+    #[test]
+    fn heap_bytes_counts_every_buffer() {
+        // window 5 × 4 events in the ring, 4 sums, 4 event indices, 3 votes.
+        let host = HostWindow::new(&deployable_detector(), 5, 3).unwrap();
+        let floor =
+            (5 * 4 + 4) * size_of::<f64>() + 4 * size_of::<usize>() + 3 * size_of::<Verdict>();
+        assert!(
+            host.heap_bytes() >= floor,
+            "{} < {floor}",
+            host.heap_bytes()
+        );
     }
 }

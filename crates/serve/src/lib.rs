@@ -17,8 +17,9 @@
 //! - [`ready`] — readiness pacing for the worker event loop: exponential
 //!   probe backoff per connection, so idle sockets cost O(1) probes per
 //!   100 ms instead of a busy poll.
-//! - [`session`] — one [`twosmart::online::OnlineDetector`] per monitored
-//!   host behind a sharded mutex map, with idle-session eviction.
+//! - [`session`] — one [`twosmart::online::HostWindow`] per monitored host
+//!   behind a sharded mutex map, scored through one shared detector, with
+//!   idle-session eviction.
 //! - [`metrics`] — lock-free atomic service counters, snapshotted over the
 //!   wire by the `Drain` frame.
 //! - [`service`] — the transport-independent connection state machine:
@@ -41,9 +42,9 @@
 //! # Determinism
 //!
 //! Verdicts depend only on the per-host counter stream: every host owns a
-//! private `OnlineDetector`, submissions carry a strictly increasing `seq`,
+//! private `HostWindow`, submissions carry a strictly increasing `seq`,
 //! and out-of-order or malformed frames are rejected without touching
-//! detector state. The verdict sequence for a host is therefore
+//! window state. The verdict sequence for a host is therefore
 //! bit-identical across runs, worker counts, and connection interleavings.
 
 #![forbid(unsafe_code)]

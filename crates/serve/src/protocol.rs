@@ -102,6 +102,8 @@ pub enum ErrorCode {
     Unexpected,
     /// The service is draining for shutdown and no longer accepts work.
     ShuttingDown,
+    /// A `Submit` carried a NaN or infinite counter.
+    BadValue,
 }
 
 impl fmt::Display for ErrorCode {
@@ -115,6 +117,7 @@ impl fmt::Display for ErrorCode {
             ErrorCode::UnsupportedVersion => "unsupported_version",
             ErrorCode::Unexpected => "unexpected",
             ErrorCode::ShuttingDown => "shutting_down",
+            ErrorCode::BadValue => "bad_value",
         };
         f.write_str(name)
     }
@@ -289,6 +292,7 @@ fn write_error_payload(json: &mut String, code: ErrorCode, detail: &str) {
         ErrorCode::UnsupportedVersion => "UnsupportedVersion",
         ErrorCode::Unexpected => "Unexpected",
         ErrorCode::ShuttingDown => "ShuttingDown",
+        ErrorCode::BadValue => "BadValue",
     });
     json.push_str("\",\"detail\":");
     write_json_str(json, detail);
@@ -624,6 +628,7 @@ mod tests {
             ErrorCode::UnsupportedVersion,
             ErrorCode::Unexpected,
             ErrorCode::ShuttingDown,
+            ErrorCode::BadValue,
         ];
         let details = [
             "",

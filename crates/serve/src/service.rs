@@ -390,20 +390,15 @@ fn flush_batch<T>(conn: &mut Conn<T>, service: &Service) {
                     metrics,
                 );
             }
-            Err(e @ SubmitError::BadLength { .. }) => {
+            Err(e) => {
+                let code = match e {
+                    SubmitError::BadLength { .. } => ErrorCode::BadLength,
+                    SubmitError::OutOfOrder { .. } => ErrorCode::OutOfOrder,
+                    SubmitError::BadValue { .. } => ErrorCode::BadValue,
+                };
                 conn.queue(
                     &Frame::Error {
-                        code: ErrorCode::BadLength,
-                        // hmd-analyze: allow(hot-path-alloc, "rejection detail, not the steady-state path")
-                        detail: format!("host {host_id} seq {seq}: {e}"),
-                    },
-                    metrics,
-                );
-            }
-            Err(e @ SubmitError::OutOfOrder { .. }) => {
-                conn.queue(
-                    &Frame::Error {
-                        code: ErrorCode::OutOfOrder,
+                        code,
                         // hmd-analyze: allow(hot-path-alloc, "rejection detail, not the steady-state path")
                         detail: format!("host {host_id} seq {seq}: {e}"),
                     },
@@ -412,9 +407,8 @@ fn flush_batch<T>(conn: &mut Conn<T>, service: &Service) {
             }
         }
     }
-    // Eviction cadence: the scalar path swept whenever the engine clock
-    // landed on a multiple of `evict_every`; a batch sweeps once when it
-    // carries the clock across such a boundary.
+    // Eviction cadence: a batch sweeps once when it carries the engine
+    // clock across a multiple of `evict_every`.
     let every = service.limits.evict_every;
     if every > 0 && service.engine.ticks() / every > ticks_before / every {
         let now = service.engine.ticks();

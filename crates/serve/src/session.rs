@@ -1,21 +1,22 @@
 //! Per-host detection sessions behind a sharded lock.
 //!
 //! A fleet submits interleaved telemetry from many hosts; each host needs
-//! its own [`OnlineDetector`] (sliding window + vote smoothing are
-//! per-host state). [`SessionEngine`] keeps those detectors in N
-//! independently locked shards keyed by a hash of the host id, so worker
-//! threads serving different hosts almost never contend, and evicts
+//! its own [`HostWindow`] (sliding window + vote smoothing are per-host
+//! state), while every host's ready windows are scored through the one
+//! trained detector the engine holds. [`SessionEngine`] keeps the windows
+//! in N independently locked shards keyed by a hash of the host id, so
+//! worker threads serving different hosts almost never contend, and evicts
 //! sessions that have gone idle so a churning fleet cannot grow memory
 //! without bound.
 //!
 //! # Determinism
 //!
 //! The verdict sequence of a host depends only on the counter readings fed
-//! to *its* detector, in `seq` order. The engine enforces strictly
+//! to *its* window, in `seq` order. The engine enforces strictly
 //! increasing per-host `seq` (rejecting replays/reorders with
-//! [`SubmitError::OutOfOrder`]) and rejects wrong-arity readings before
-//! they touch the window, so shard layout, worker count, and cross-host
-//! interleaving cannot change any host's verdicts.
+//! [`SubmitError::OutOfOrder`]) and rejects wrong-arity and non-finite
+//! readings before they touch the window, so shard layout, worker count,
+//! and cross-host interleaving cannot change any host's verdicts.
 //!
 //! # Stores
 //!
@@ -27,8 +28,8 @@
 //!   `host_id → slot` index (fixed constant-seed hash, never iterated for
 //!   output), and evicted through a two-level timer wheel bucketed by
 //!   expiry tick — an idle sweep costs O(expiring), not O(resident).
-//!   Evicted slots keep their detector allocation and are reset in place
-//!   on reuse, so steady-state submit and evict allocate nothing;
+//!   Evicted slots keep their window buffers and are reset in place on
+//!   reuse, so steady-state submit and evict allocate nothing;
 //!   generational handles guarantee a reincarnated host id can never
 //!   observe a stale predecessor's seq/window state.
 //! - **BTree**: the original `BTreeMap<u64, HostSession>` per shard with a
@@ -46,8 +47,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use twosmart::detector::{
     CascadeMode, CascadeVerdict, DetectBatchScratch, TwoSmartDetector, Verdict,
 };
-use twosmart::online::{OnlineDetector, OnlineError};
-use twosmart::persist::DetectorSnapshot;
+use twosmart::online::{HostWindow, OnlineError};
 
 /// Which per-shard session store backs the engine.
 ///
@@ -108,9 +108,9 @@ pub enum TimeSource {
 pub struct SessionConfig {
     /// Number of independently locked shards (clamped to ≥ 1).
     pub shards: usize,
-    /// Sliding-window length handed to each host's [`OnlineDetector`].
+    /// Sliding-window length of each host's [`HostWindow`].
     pub window: usize,
-    /// Vote-smoothing depth handed to each host's [`OnlineDetector`].
+    /// Vote-smoothing depth of each host's [`HostWindow`].
     pub votes: usize,
     /// A session is evictable once this many logical ticks (see
     /// [`TimeSource`]) have passed since it last saw a submit. `0`
@@ -141,7 +141,7 @@ impl Default for SessionConfig {
 }
 
 /// Why a `Submit` was rejected. The submission is dropped without touching
-/// the host's detector state, so a bad frame never perturbs verdicts.
+/// the host's window state, so a bad frame never perturbs verdicts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The reading did not carry one counter per programmed event.
@@ -158,6 +158,11 @@ pub enum SubmitError {
         /// Rejected sequence number.
         got: u64,
     },
+    /// The reading carried a NaN or infinite counter.
+    BadValue {
+        /// Position of the first non-finite counter.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -169,6 +174,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::OutOfOrder { last, got } => {
                 write!(f, "seq {got} not after last accepted seq {last}")
             }
+            SubmitError::BadValue { index } => write!(f, "counter {index} is not finite"),
         }
     }
 }
@@ -176,7 +182,7 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 struct HostSession {
-    online: OnlineDetector,
+    window: HostWindow,
     last_seq: Option<u64>,
     last_seen: u64,
 }
@@ -209,7 +215,7 @@ impl ShardStore {
         &mut self,
         host_id: u64,
         now: u64,
-        template: &OnlineDetector,
+        template: &HostWindow,
     ) -> (&mut HostSession, bool) {
         match self {
             ShardStore::BTree(map) => {
@@ -218,7 +224,7 @@ impl ShardStore {
                     created = true;
                     HostSession {
                         // hmd-analyze: allow(hot-path-alloc, "one-time per-host session construction, not per-reading")
-                        online: template.clone(),
+                        window: template.clone(),
                         last_seq: None,
                         last_seen: now,
                     }
@@ -267,8 +273,8 @@ impl ShardStore {
 
 /// A slab-backed session shard.
 ///
-/// Sessions live in `slots`; a freed slot keeps its detector allocation on
-/// the `free` list and is **reset in place** when a new host reuses it, so
+/// Sessions live in `slots`; a freed slot keeps its window buffers on the
+/// `free` list and is **reset in place** when a new host reuses it, so
 /// session churn allocates nothing in steady state. `host_id → slot`
 /// lookups go through [`SlotIndex`]; idle expiry goes through [`Wheel`].
 ///
@@ -321,26 +327,20 @@ impl SlabShard {
     }
 
     /// [`ShardStore::get_or_admit`] for the slab: reuses a freed slot
-    /// (resetting the detector ring in place) before growing the slab.
+    /// (resetting its window in place) before growing the slab.
     // hmd-analyze: hot-path
-    fn admit(
-        &mut self,
-        host_id: u64,
-        now: u64,
-        template: &OnlineDetector,
-    ) -> (&mut HostSession, bool) {
+    fn admit(&mut self, host_id: u64, now: u64, template: &HostWindow) -> (&mut HostSession, bool) {
         if let Some(slot) = self.index.lookup(host_id) {
             return (&mut self.slots[slot as usize].session, false);
         }
         let slot = match self.free.pop() {
             Some(i) => {
-                // Reset-in-place: the freed slot's detector keeps its ring
-                // and vote buffers; clearing them is O(window), not a
-                // clone of the ~3.4 KB template.
+                // Reset-in-place: the freed slot keeps its ring and vote
+                // buffers; clearing them is O(k), not a fresh allocation.
                 let s = &mut self.slots[i as usize];
                 s.host_id = host_id;
                 s.occupied = true;
-                s.session.online.reset();
+                s.session.window.reset();
                 s.session.last_seq = None;
                 s.session.last_seen = now;
                 i
@@ -353,7 +353,7 @@ impl SlabShard {
                     occupied: true,
                     session: HostSession {
                         // hmd-analyze: allow(hot-path-alloc, "one-time per-host session construction, not per-reading")
-                        online: template.clone(),
+                        window: template.clone(),
                         last_seq: None,
                         last_seen: now,
                     },
@@ -733,26 +733,28 @@ impl SubmitBatch {
     }
 }
 
-/// Sharded host-id → [`OnlineDetector`] map.
+/// Sharded host-id → [`HostWindow`] map, scored through one detector.
 pub struct SessionEngine {
     shards: Vec<Mutex<ShardStore>>,
-    /// Never-pushed prototype cloned for each new host.
-    template: OnlineDetector,
+    /// The trained detector every host's ready windows are scored through.
+    detector: TwoSmartDetector,
+    /// Never-pushed window state cloned for each new host.
+    template: HostWindow,
     idle_after: u64,
     /// Logical clock; advanced per submit or externally per [`TimeSource`].
     clock: AtomicU64,
     time: TimeSource,
     /// Stage-2 gating policy for the batched drain.
     cascade: CascadeMode,
-    /// Estimated in-memory bytes of one session, computed once from the
-    /// template; feeds the `session_bytes` gauge.
+    /// In-memory bytes of one session, computed once from the template;
+    /// feeds the `session_bytes` gauge.
     per_session_bytes: u64,
     metrics: Arc<Metrics>,
 }
 
 impl SessionEngine {
-    /// Builds an engine serving clones of `detector` wrapped per the
-    /// config's window/votes.
+    /// Builds an engine that scores every host through `detector`, with
+    /// per-host windows sized by the config's window/votes.
     ///
     /// # Errors
     ///
@@ -763,13 +765,14 @@ impl SessionEngine {
         config: &SessionConfig,
         metrics: Arc<Metrics>,
     ) -> Result<SessionEngine, OnlineError> {
-        let template = OnlineDetector::new(detector, config.window, config.votes)?;
-        let per_session_bytes = estimate_session_bytes(&template);
+        let template = HostWindow::new(&detector, config.window, config.votes)?;
+        let per_session_bytes = (std::mem::size_of::<HostSession>() + template.heap_bytes()) as u64;
         let shards = (0..config.shards.max(1))
             .map(|_| Mutex::new(ShardStore::new(config.store, config.idle_after)))
             .collect();
         Ok(SessionEngine {
             shards,
+            detector,
             template,
             idle_after: config.idle_after,
             clock: AtomicU64::new(0),
@@ -798,74 +801,21 @@ impl SessionEngine {
         shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Feeds one reading to `host_id`'s detector, creating the session on
-    /// first contact. Returns the smoothed verdict (`None` during
-    /// warm-up).
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] if the reading is wrong-arity or out of order; the
-    /// session state is untouched in both cases.
-    // hmd-analyze: hot-path
-    pub fn submit(
-        &self,
-        host_id: u64,
-        seq: u64,
-        counters: &[f64],
-    ) -> Result<Option<Verdict>, SubmitError> {
-        let now = match self.time {
-            TimeSource::PerSubmit => self.clock.fetch_add(1, Ordering::Relaxed),
-            TimeSource::External => self.clock.load(Ordering::Relaxed),
-        };
-        let mut shard = Self::lock(&self.shards[self.shard_of(host_id)]);
-        let (session, created) = shard.get_or_admit(host_id, now, &self.template);
-        if created {
-            self.metrics.bump(&self.metrics.sessions);
-            self.metrics
-                .add(&self.metrics.session_bytes, self.per_session_bytes);
-        }
-        if let Some(last) = session.last_seq {
-            if seq <= last {
-                return Err(SubmitError::OutOfOrder { last, got: seq });
-            }
-        }
-        let verdict = match session.online.try_push(counters) {
-            Ok(v) => v,
-            Err(OnlineError::BadLength { expected, got }) => {
-                return Err(SubmitError::BadLength { expected, got });
-            }
-            // NotDeployable/ZeroLength are construction-time failures that
-            // `try_push` cannot return. If that ever changes, reject the
-            // frame rather than panicking the worker.
-            Err(_) => {
-                return Err(SubmitError::BadLength {
-                    expected: self.template.arity(),
-                    got: counters.len(),
-                });
-            }
-        };
-        session.last_seq = Some(seq);
-        session.last_seen = now;
-        Ok(verdict)
-    }
-
     /// Drains a queue of submissions through the batched cascade.
     ///
     /// Phase A windows every item in submission order (clock tick, session
-    /// creation, seq guard, window advance — exactly the per-item steps of
-    /// [`submit`](Self::submit)); full windows contribute one lane to a
-    /// feature batch. One [`TwoSmartDetector::detect_batch_with`] call
-    /// then scores all lanes under the engine's [`CascadeMode`], and phase
-    /// B folds each raw verdict back into its session's vote smoothing, in
-    /// submission order.
+    /// creation, seq guard, window advance); full windows contribute one
+    /// lane to a feature batch. One [`TwoSmartDetector::detect_batch_with`]
+    /// call then scores all lanes under the engine's [`CascadeMode`], and
+    /// phase B folds each raw verdict back into its session's vote
+    /// smoothing, in submission order.
     ///
-    /// Under [`CascadeMode::Always`] every item's result is bit-identical
-    /// to calling [`submit`](Self::submit) item by item: the windowing and
-    /// smoothing halves are the same code, and the batched cascade is the
-    /// property-tested bit-identity oracle of the scalar detector. All
-    /// detector clones are identical, so scoring through the engine's
-    /// template is the same arithmetic as scoring through each session's
-    /// own clone.
+    /// Under [`CascadeMode::Always`] each host's accepted results are
+    /// bit-identical to feeding its readings to its own
+    /// [`OnlineDetector::push`](twosmart::online::OnlineDetector::push):
+    /// the windowing and smoothing are the same [`HostWindow`] code, and
+    /// the batched cascade is the property-tested bit-identity oracle of
+    /// the scalar detector.
     ///
     /// Results land in `batch` (see [`SubmitBatch::results`]); per-class
     /// stage-2 invocation/skip counts land in the engine's metrics.
@@ -901,7 +851,7 @@ impl SessionEngine {
                 }
             }
             let mut features44 = [0.0; Event::COUNT];
-            match session.online.advance_window(counters, &mut features44) {
+            match session.window.advance_window(counters, &mut features44) {
                 Ok(ready) => {
                     session.last_seq = Some(seq);
                     session.last_seen = now;
@@ -913,19 +863,18 @@ impl SessionEngine {
                     // overwritten in phase B.
                     batch.results.push(Ok(None));
                 }
-                Err(OnlineError::BadLength { expected, got }) => {
-                    batch
-                        .results
-                        .push(Err(SubmitError::BadLength { expected, got }));
-                }
-                // Construction-time failures `advance_window` cannot
-                // return; reject the frame rather than panicking.
-                Err(_) => {
-                    batch.results.push(Err(SubmitError::BadLength {
+                Err(e) => batch.results.push(Err(match e {
+                    OnlineError::BadLength { expected, got } => {
+                        SubmitError::BadLength { expected, got }
+                    }
+                    OnlineError::BadValue { index } => SubmitError::BadValue { index },
+                    // Construction-time failures `advance_window` cannot
+                    // return; reject the frame rather than panicking.
+                    _ => SubmitError::BadLength {
                         expected: self.template.arity(),
                         got: counters.len(),
-                    }));
-                }
+                    },
+                })),
             }
         }
 
@@ -933,9 +882,8 @@ impl SessionEngine {
             return;
         }
 
-        // One batched cascade over every ready window. Clones are
-        // identical, so the template's arithmetic is every session's.
-        self.template.detector().detect_batch_with(
+        // One batched cascade over every ready window.
+        self.detector.detect_batch_with(
             &batch.features,
             self.cascade,
             &mut batch.scratch,
@@ -960,7 +908,7 @@ impl SessionEngine {
             let (host_id, _) = batch.hosts[item as usize];
             let mut shard = Self::lock(&self.shards[self.shard_of(host_id)]);
             let smoothed = match shard.get_mut(host_id) {
-                Some(session) => session.online.apply_verdict(cv.verdict),
+                Some(session) => session.window.apply_verdict(cv.verdict),
                 // Evicted between phases (concurrent sweeper): the raw
                 // verdict is the best available answer for this item.
                 None => cv.verdict,
@@ -1030,10 +978,9 @@ impl SessionEngine {
         self.clock.store(now, Ordering::Relaxed);
     }
 
-    /// Estimated in-memory bytes of one host session (struct + window and
-    /// vote buffers + a serialized-snapshot proxy for the cloned model's
-    /// heap). Computed once at construction; `sessions() *
-    /// session_bytes_estimate()` is what the `session_bytes` gauge tracks.
+    /// In-memory bytes of one host session: the session struct plus its
+    /// window and vote buffers. Computed once at construction; the
+    /// `session_bytes` gauge tracks `sessions() * session_bytes_estimate()`.
     pub fn session_bytes_estimate(&self) -> u64 {
         self.per_session_bytes
     }
@@ -1043,26 +990,6 @@ impl SessionEngine {
         // so sequential host ids spread across shards.
         (hmd_ml::par::derive_seed(host_id, 0) % self.shards.len() as u64) as usize
     }
-}
-
-/// Estimates the resident bytes of one [`HostSession`]: fixed struct
-/// overhead, the window ring / running-sum / vote buffers the online
-/// wrapper allocates, and the serialized model snapshot as a proxy for the
-/// cloned detector's heap (every session clones the full template).
-fn estimate_session_bytes(template: &OnlineDetector) -> u64 {
-    let k = template.arity();
-    let buffers = template.window() * k * 8 // ring
-        + 2 * k * 8 // running sums + means
-        + template.votes() * std::mem::size_of::<Option<Verdict>>()
-        + k * std::mem::size_of::<usize>(); // event indices
-                                            // The detector is not directly serializable, but its snapshot is — a
-                                            // capture failure (can't happen for a trained detector) degrades the
-                                            // estimate, never the engine.
-    let model = DetectorSnapshot::capture(template.detector())
-        .ok()
-        .and_then(|s| serde_json::to_string(&s).ok())
-        .map_or(0, |j| j.len());
-    (std::mem::size_of::<HostSession>() + buffers + model) as u64
 }
 
 impl std::fmt::Debug for SessionEngine {
@@ -1081,6 +1008,7 @@ mod tests {
     use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
     use hmd_hpc_sim::workload::AppClass;
     use hmd_ml::classifier::ClassifierKind;
+    use twosmart::online::OnlineDetector;
 
     fn detector() -> TwoSmartDetector {
         let corpus = CorpusBuilder::new(CorpusSpec::tiny()).build();
@@ -1098,6 +1026,19 @@ mod tests {
         SessionEngine::new(detector(), config, Arc::new(Metrics::new())).unwrap()
     }
 
+    /// One reading drained through a one-item batch.
+    fn submit(
+        e: &SessionEngine,
+        host_id: u64,
+        seq: u64,
+        counters: &[f64],
+    ) -> Result<Option<Verdict>, SubmitError> {
+        let mut batch = SubmitBatch::new();
+        batch.push(host_id, seq, counters);
+        e.submit_batch(&mut batch);
+        batch.results.pop().expect("one item queued")
+    }
+
     #[test]
     fn per_host_sessions_are_independent() {
         let e = engine(&SessionConfig {
@@ -1106,9 +1047,9 @@ mod tests {
         });
         let r = [1e5, 1e4, 1e3, 1e2];
         // Host 1 fills its 2-window; host 2's window is untouched by it.
-        assert_eq!(e.submit(1, 0, &r), Ok(None));
-        assert!(e.submit(1, 1, &r).unwrap().is_some());
-        assert_eq!(e.submit(2, 0, &r), Ok(None), "fresh host starts warm-up");
+        assert_eq!(submit(&e, 1, 0, &r), Ok(None));
+        assert!(submit(&e, 1, 1, &r).unwrap().is_some());
+        assert_eq!(submit(&e, 2, 0, &r), Ok(None), "fresh host starts warm-up");
         assert_eq!(e.sessions(), 2);
     }
 
@@ -1116,31 +1057,31 @@ mod tests {
     fn out_of_order_and_replayed_seqs_are_rejected() {
         let e = engine(&SessionConfig::default());
         let r = [1.0, 1.0, 1.0, 1.0];
-        e.submit(9, 5, &r).unwrap();
+        submit(&e, 9, 5, &r).unwrap();
         assert_eq!(
-            e.submit(9, 5, &r),
+            submit(&e, 9, 5, &r),
             Err(SubmitError::OutOfOrder { last: 5, got: 5 })
         );
         assert_eq!(
-            e.submit(9, 2, &r),
+            submit(&e, 9, 2, &r),
             Err(SubmitError::OutOfOrder { last: 5, got: 2 })
         );
         // Gaps are fine (lost datagrams happen); order is what matters.
-        assert!(e.submit(9, 100, &r).is_ok());
+        assert!(submit(&e, 9, 100, &r).is_ok());
     }
 
     #[test]
     fn wrong_arity_is_rejected_without_consuming_seq() {
         let e = engine(&SessionConfig::default());
         assert_eq!(
-            e.submit(3, 0, &[1.0, 2.0]),
+            submit(&e, 3, 0, &[1.0, 2.0]),
             Err(SubmitError::BadLength {
                 expected: 4,
                 got: 2
             })
         );
         // The rejected frame did not advance last_seq: seq 0 still works.
-        assert!(e.submit(3, 0, &[1.0, 2.0, 3.0, 4.0]).is_ok());
+        assert!(submit(&e, 3, 0, &[1.0, 2.0, 3.0, 4.0]).is_ok());
     }
 
     #[test]
@@ -1156,16 +1097,16 @@ mod tests {
         )
         .unwrap();
         let r = [1.0, 1.0, 1.0, 1.0];
-        e.submit(1, 0, &r).unwrap();
+        submit(&e, 1, 0, &r).unwrap();
         // Keep host 2 active while host 1 idles past the threshold.
         for seq in 0..8 {
-            e.submit(2, seq, &r).unwrap();
+            submit(&e, 2, seq, &r).unwrap();
         }
         assert_eq!(e.evict_idle(), vec![1]);
         assert_eq!(e.sessions(), 1);
         assert_eq!(metrics.snapshot().evictions, 1);
-        // Returning host 1 restarts warm-up (fresh detector clone).
-        assert_eq!(e.submit(1, 99, &r), Ok(None));
+        // Returning host 1 restarts warm-up (fresh window).
+        assert_eq!(submit(&e, 1, 99, &r), Ok(None));
     }
 
     #[test]
@@ -1174,9 +1115,9 @@ mod tests {
             idle_after: 0,
             ..SessionConfig::default()
         });
-        e.submit(1, 0, &[1.0; 4]).unwrap();
+        submit(&e, 1, 0, &[1.0; 4]).unwrap();
         for seq in 0..64 {
-            e.submit(2, seq, &[1.0; 4]).unwrap();
+            submit(&e, 2, seq, &[1.0; 4]).unwrap();
         }
         assert_eq!(e.evict_idle(), Vec::<u64>::new());
         assert_eq!(e.sessions(), 2);
@@ -1194,11 +1135,11 @@ mod tests {
                 ..SessionConfig::default()
             });
             for &h in &hosts {
-                e.submit(h, 0, &r).unwrap();
+                submit(&e, h, 0, &r).unwrap();
             }
             // One host stays hot while the rest idle past the threshold.
             for seq in 1..40 {
-                e.submit(hosts[0], seq, &r).unwrap();
+                submit(&e, hosts[0], seq, &r).unwrap();
             }
             e.evict_idle()
         };
@@ -1238,18 +1179,19 @@ mod tests {
         )
         .unwrap();
         let per = e.session_bytes_estimate();
-        assert!(per > 0, "estimate includes buffers and model proxy");
+        // Window and vote buffers only: no model rides along per session.
+        assert!((1..1024).contains(&per), "{per} B per session");
         let r = [1.0; 4];
-        e.submit(1, 0, &r).unwrap();
-        e.submit(2, 0, &r).unwrap();
+        submit(&e, 1, 0, &r).unwrap();
+        submit(&e, 2, 0, &r).unwrap();
         let s = metrics.snapshot();
         assert_eq!(s.sessions, 2);
         assert_eq!(s.session_bytes, 2 * per);
         // Resubmits to a live session must not re-count it.
-        e.submit(2, 1, &r).unwrap();
+        submit(&e, 2, 1, &r).unwrap();
         assert_eq!(metrics.snapshot().sessions, 2);
         for seq in 2..8 {
-            e.submit(2, seq, &r).unwrap();
+            submit(&e, 2, seq, &r).unwrap();
         }
         assert_eq!(e.evict_idle(), vec![1]);
         let s = metrics.snapshot();
@@ -1271,11 +1213,11 @@ mod tests {
             let r = [1.0; 4];
             e.set_time(0);
             for &h in hosts {
-                e.submit(h, 0, &r).unwrap();
+                submit(&e, h, 0, &r).unwrap();
             }
             for t in 1..=5 {
                 e.set_time(t);
-                e.submit(7, t, &r).unwrap(); // host 7 stays hot
+                submit(&e, 7, t, &r).unwrap(); // host 7 stays hot
             }
             let mut out = e.evict_idle_at(5);
             out.sort_unstable();
@@ -1291,8 +1233,8 @@ mod tests {
     fn per_submit_clock_still_advances_by_default() {
         let e = engine(&SessionConfig::default());
         let r = [1.0; 4];
-        e.submit(1, 0, &r).unwrap();
-        e.submit(1, 1, &r).unwrap();
+        submit(&e, 1, 0, &r).unwrap();
+        submit(&e, 1, 1, &r).unwrap();
         assert_eq!(e.ticks(), 2, "default mode ticks once per submit");
     }
 
@@ -1311,7 +1253,7 @@ mod tests {
                 ..SessionConfig::default()
             });
             e.set_time(0);
-            e.submit(42, 0, &r).unwrap();
+            submit(&e, 42, 0, &r).unwrap();
             e.set_time(7); // idle threshold long passed
             e
         };
@@ -1319,15 +1261,15 @@ mod tests {
         // fresh seq space, so even a replayed seq 0 is accepted (warm-up).
         let e = mk();
         assert_eq!(e.evict_idle_at(7), vec![42]);
-        assert_eq!(e.submit(42, 0, &r), Ok(None));
+        assert_eq!(submit(&e, 42, 0, &r), Ok(None));
         assert_eq!(e.sessions(), 1);
         // Order B: submit first → it refreshes last_seen, so the same-tick
         // sweep must keep the session and the seq guard still applies.
         let e = mk();
-        assert_eq!(e.submit(42, 1, &r), Ok(None));
+        assert_eq!(submit(&e, 42, 1, &r), Ok(None));
         assert_eq!(e.evict_idle_at(7), Vec::<u64>::new());
         assert_eq!(
-            e.submit(42, 1, &r),
+            submit(&e, 42, 1, &r),
             Err(SubmitError::OutOfOrder { last: 1, got: 1 })
         );
     }
@@ -1370,7 +1312,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let r = [1.0; 4];
                     for seq in 0..2000 {
-                        e.submit(host, seq, &r).unwrap();
+                        submit(&e, host, seq, &r).unwrap();
                     }
                 })
             })
@@ -1383,54 +1325,71 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_matches_scalar_submit_item_for_item() {
-        // The same interleaved stream — warm-ups, full windows, a replay
-        // and a wrong-arity reading — through the scalar path on one
-        // engine and the batched drain on another must produce identical
-        // per-item outcomes, and the batched engine's sessions must be
-        // left in the same state (checked by a follow-up submit).
+    fn submit_batch_matches_online_detector_push_item_for_item() {
+        // An interleaved stream — warm-ups, full windows, a replayed seq, a
+        // wrong arity and a NaN reading — drained in chunks whose
+        // boundaries cross hosts. Every accepted item must equal one
+        // `OnlineDetector::push` per host, and every rejected item must
+        // leave its host's window as if it had never been sent.
         let config = SessionConfig {
             window: 2,
             votes: 1,
             ..SessionConfig::default()
         };
-        let scalar = engine(&config);
-        let batched = engine(&config);
-        let mut stream: Vec<(u64, u64, Vec<f64>)> = Vec::new();
+        let det = detector();
+        let batched = SessionEngine::new(det.clone(), &config, Arc::new(Metrics::new())).unwrap();
+        let mut stream: Vec<(u64, u64, Vec<f64>, Option<SubmitError>)> = Vec::new();
         for seq in 0..6 {
             for host in [1u64, 2, 3] {
                 let x = 1e5 + (seq * 31 + host) as f64 * 17.0;
-                stream.push((host, seq, vec![x, x / 3.0, x / 7.0, x / 11.0]));
+                stream.push((host, seq, vec![x, x / 3.0, x / 7.0, x / 11.0], None));
             }
         }
-        stream.push((1, 2, vec![1.0; 4])); // replayed seq → OutOfOrder
-        stream.push((2, 99, vec![1.0, 2.0])); // wrong arity → BadLength
-        stream.push((3, 99, vec![2e5, 3e4, 4e3, 5e2]));
+        let replay = SubmitError::OutOfOrder { last: 5, got: 2 };
+        stream.push((1, 2, vec![1.0; 4], Some(replay)));
+        let arity = SubmitError::BadLength {
+            expected: 4,
+            got: 2,
+        };
+        stream.push((2, 99, vec![1.0, 2.0], Some(arity)));
+        let nan = SubmitError::BadValue { index: 1 };
+        stream.push((3, 98, vec![2e5, f64::NAN, 4e3, 5e2], Some(nan)));
+        for host in [1u64, 2, 3] {
+            stream.push((host, 99, vec![2e5, 3e4, 4e3, 5e2 + host as f64], None));
+        }
 
+        let mut oracles: BTreeMap<u64, OnlineDetector> = BTreeMap::new();
         let want: Vec<_> = stream
             .iter()
-            .map(|(h, s, c)| scalar.submit(*h, *s, c))
+            .map(|(h, _, c, rejected)| match rejected {
+                Some(e) => Err(e.clone()),
+                None => Ok(oracles
+                    .entry(*h)
+                    .or_insert_with(|| {
+                        OnlineDetector::new(det.clone(), config.window, config.votes).unwrap()
+                    })
+                    .push(c)),
+            })
             .collect();
 
         let mut batch = SubmitBatch::new();
         let mut got = Vec::new();
-        // Drain in uneven chunks so batch boundaries cross hosts and seqs.
         for chunk in stream.chunks(5) {
             batch.clear();
-            for (h, s, c) in chunk {
+            for (h, s, c, _) in chunk {
                 batch.push(*h, *s, c);
             }
             assert_eq!(batch.len(), chunk.len());
             batched.submit_batch(&mut batch);
             for ((bh, bs), r) in batch.results() {
-                let (h, s, _) = &chunk[got.len() % 5];
+                let (h, s, _, _) = &chunk[got.len() % 5];
                 assert_eq!((bh, bs), (*h, *s));
                 got.push(r.clone());
             }
         }
         assert_eq!(got, want);
-        // Both engines advanced their clocks identically.
-        assert_eq!(batched.ticks(), scalar.ticks());
+        assert!(got.iter().any(|r| matches!(r, Ok(Some(_)))));
+        assert_eq!(batched.ticks(), stream.len() as u64, "one tick per item");
     }
 
     #[test]
@@ -1520,7 +1479,7 @@ mod tests {
             while sweep_iter.peek().is_some_and(|&w| w <= t as u64) {
                 sweeps.push(e.evict_idle_at(sweep_iter.next().unwrap()));
             }
-            results.push(e.submit(h, s, &r));
+            results.push(submit(&e, h, s, &r));
         }
         for w in sweep_iter {
             sweeps.push(e.evict_idle_at(w));
@@ -1594,7 +1553,7 @@ mod tests {
         for round in 0u64..50 {
             let t = round * 10;
             e.set_time(t);
-            e.submit(round, 0, &r).unwrap(); // a brand-new host id each round
+            submit(&e, round, 0, &r).unwrap(); // a brand-new host id each round
             e.evict_idle_at(t + 5);
             assert_eq!(e.sessions(), 0, "round {round} must evict its host");
         }
@@ -1623,13 +1582,17 @@ mod tests {
             });
             let r = [1e5, 1e4, 1e3, 1e2];
             e.set_time(0);
-            e.submit(5, 100, &r).unwrap();
-            assert!(e.submit(5, 101, &r).unwrap().is_some(), "window filled");
+            submit(&e, 5, 100, &r).unwrap();
+            assert!(submit(&e, 5, 101, &r).unwrap().is_some(), "window filled");
             assert_eq!(e.evict_idle_at(9), vec![5]);
             // Reincarnation: seq 0 (< 101) is accepted, warm-up restarts.
             e.set_time(9);
-            assert_eq!(e.submit(5, 0, &r), Ok(None), "store {kind}: fresh warm-up");
-            assert!(e.submit(5, 1, &r).unwrap().is_some());
+            assert_eq!(
+                submit(&e, 5, 0, &r),
+                Ok(None),
+                "store {kind}: fresh warm-up"
+            );
+            assert!(submit(&e, 5, 1, &r).unwrap().is_some());
         }
     }
 
@@ -1694,7 +1657,7 @@ mod tests {
             for i in 0u64..40 {
                 let t = i * 997;
                 e.set_time(t);
-                e.submit(i, 0, &r).unwrap();
+                submit(&e, i, 0, &r).unwrap();
                 if i % 5 == 4 {
                     evictions.push(e.evict_idle_at(t));
                 }
@@ -1728,7 +1691,7 @@ mod tests {
             let verdicts: Vec<_> = stream
                 .iter()
                 .enumerate()
-                .map(|(i, r)| e.submit(77, i as u64, r).unwrap())
+                .map(|(i, r)| submit(&e, 77, i as u64, r).unwrap())
                 .collect();
             sequences.push(verdicts);
         }

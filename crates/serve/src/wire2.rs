@@ -74,6 +74,7 @@ fn code_to_u8(code: ErrorCode) -> u8 {
         ErrorCode::UnsupportedVersion => 5,
         ErrorCode::Unexpected => 6,
         ErrorCode::ShuttingDown => 7,
+        ErrorCode::BadValue => 8,
     }
 }
 
@@ -87,6 +88,7 @@ fn code_from_u8(byte: u8) -> Option<ErrorCode> {
         5 => ErrorCode::UnsupportedVersion,
         6 => ErrorCode::Unexpected,
         7 => ErrorCode::ShuttingDown,
+        8 => ErrorCode::BadValue,
         _ => return None,
     })
 }

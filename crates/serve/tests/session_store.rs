@@ -1,8 +1,8 @@
 //! Store-equivalence and reincarnation suite for the session engine.
 //!
 //! The slab store recycles slot memory: when host H is evicted and later
-//! re-admitted, it may land in the same slot, on the same detector
-//! allocation, its predecessor used. These tests pin the contract that
+//! re-admitted, it may land in the same slot, on the same window buffers
+//! its predecessor used. These tests pin the contract that
 //! recycling is invisible — a reincarnated host behaves bit-for-bit like
 //! a host on a fresh engine (seq space, window ring, vote smoother), the
 //! `sessions`/`session_bytes` gauges stay exact across admit→evict→reuse
@@ -12,7 +12,9 @@ use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
 use hmd_hpc_sim::workload::AppClass;
 use hmd_ml::classifier::ClassifierKind;
 use hmd_serve::metrics::Metrics;
-use hmd_serve::session::{SessionConfig, SessionEngine, StoreKind, SubmitError, TimeSource};
+use hmd_serve::session::{
+    SessionConfig, SessionEngine, StoreKind, SubmitBatch, SubmitError, TimeSource,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -56,6 +58,20 @@ fn engine(store: StoreKind, idle_after: u64) -> (SessionEngine, Arc<Metrics>) {
     (e, metrics)
 }
 
+/// One reading drained through a one-item batch.
+fn submit(
+    e: &SessionEngine,
+    host_id: u64,
+    seq: u64,
+    counters: &[f64],
+) -> Result<Option<Verdict>, SubmitError> {
+    let mut batch = SubmitBatch::new();
+    batch.push(host_id, seq, counters);
+    e.submit_batch(&mut batch);
+    let (_, result) = batch.results().next().expect("one item queued");
+    result.clone()
+}
+
 /// A deterministic reading derived from an index: large enough to land in
 /// interesting detector regions, distinct per index.
 fn reading(i: u64) -> [f64; 4] {
@@ -84,16 +100,16 @@ proptest! {
         // Pre-life: activity on H plus neighbouring noise sessions that
         // stay resident across H's eviction (index/slab collisions).
         for i in 0..pre_readings {
-            e.submit(host, 100 + i, &reading(i)).unwrap();
+            submit(&e, host, 100 + i, &reading(i)).unwrap();
         }
         for n in 0..noise_hosts {
-            e.submit(n * 977 + 1, 0, &reading(n)).unwrap();
+            submit(&e, n * 977 + 1, 0, &reading(n)).unwrap();
         }
         // Keep the noise hosts hot while H idles past the threshold.
         for t in 1..=6u64 {
             e.set_time(t);
             for n in 0..noise_hosts {
-                e.submit(n * 977 + 1, t, &reading(n + t)).unwrap();
+                submit(&e, n * 977 + 1, t, &reading(n + t)).unwrap();
             }
         }
         let evicted = e.evict_idle_at(6);
@@ -104,8 +120,8 @@ proptest! {
         fresh.set_time(6);
         e.set_time(6);
         for (i, &r) in post.iter().enumerate() {
-            let got = e.submit(host, i as u64, &reading(r));
-            let want = fresh.submit(host, i as u64, &reading(r));
+            let got = submit(&e, host, i as u64, &reading(r));
+            let want = submit(&fresh, host, i as u64, &reading(r));
             prop_assert_eq!(got, want, "reading {} diverged from the fresh oracle", i);
         }
     }
@@ -125,7 +141,7 @@ proptest! {
                     log.push(format!("evict {:?}", e.evict_idle_at(t as u64)));
                 }
                 let host = host_sel * 977 + 13;
-                log.push(format!("{:?}", e.submit(host, seq, &reading(seq))));
+                log.push(format!("{:?}", submit(&e, host, seq, &reading(seq))));
             }
             let snap = metrics.snapshot();
             (log, e.sessions(), snap.sessions, snap.session_bytes, snap.evictions)
@@ -156,20 +172,20 @@ fn gauges_stay_exact_across_admit_evict_reuse_cycles() {
         // Admit 10 hosts.
         e.set_time(0);
         for h in 0..10u64 {
-            e.submit(h, 0, &reading(h)).unwrap();
+            submit(&e, h, 0, &reading(h)).unwrap();
         }
         check("admitting 10", 10);
         // Resubmits must not re-count live sessions.
         e.set_time(1);
         for h in 0..10u64 {
-            e.submit(h, 1, &reading(h)).unwrap();
+            submit(&e, h, 1, &reading(h)).unwrap();
         }
         check("resubmitting to all 10", 10);
         // Keep 3 hot; the other 7 idle out.
         for t in 2..=4u64 {
             e.set_time(t);
             for h in 0..3u64 {
-                e.submit(h, t, &reading(h)).unwrap();
+                submit(&e, h, t, &reading(h)).unwrap();
             }
         }
         let mut evicted = e.evict_idle_at(4);
@@ -179,7 +195,7 @@ fn gauges_stay_exact_across_admit_evict_reuse_cycles() {
         // Reuse: re-admit 5 of the evicted hosts (slab: freed slots).
         e.set_time(4);
         for h in 3..8u64 {
-            e.submit(h, 0, &reading(h)).unwrap();
+            submit(&e, h, 0, &reading(h)).unwrap();
         }
         check("re-admitting 5", 8);
         // Drain everything.
@@ -189,7 +205,7 @@ fn gauges_stay_exact_across_admit_evict_reuse_cycles() {
         // A second full cycle behaves identically (slot reuse steady state).
         e.set_time(101);
         for h in 0..6u64 {
-            e.submit(h, 0, &reading(h)).unwrap();
+            submit(&e, h, 0, &reading(h)).unwrap();
         }
         check("second-cycle admits", 6);
         assert_eq!(e.evict_idle_at(200).len(), 6);
@@ -241,7 +257,7 @@ fn threaded_churn_with_reincarnation_never_corrupts_state() {
                 std::thread::spawn(move || {
                     let mut warmups = 0u64;
                     for seq in 0..3000u64 {
-                        match e.submit(host, seq, &reading(seq)) {
+                        match submit(&e, host, seq, &reading(seq)) {
                             Ok(None) => warmups += 1,
                             Ok(Some(_)) => {}
                             Err(err) => panic!("submit failed: {err:?}"),
@@ -280,9 +296,9 @@ fn out_of_order_rejection_survives_reincarnation_boundary() {
     for store in [StoreKind::BTree, StoreKind::Slab] {
         let (e, _) = engine(store, 2);
         e.set_time(0);
-        e.submit(9, 50, &reading(0)).unwrap();
+        submit(&e, 9, 50, &reading(0)).unwrap();
         assert_eq!(
-            e.submit(9, 50, &reading(0)),
+            submit(&e, 9, 50, &reading(0)),
             Err(SubmitError::OutOfOrder { last: 50, got: 50 }),
             "{store:?}"
         );
@@ -290,9 +306,9 @@ fn out_of_order_rejection_survives_reincarnation_boundary() {
         e.set_time(10);
         // Fresh incarnation: seq 50 is fine again, and the warm-up verdict
         // proves the predecessor's window is gone.
-        assert_eq!(e.submit(9, 50, &reading(1)), Ok(None), "{store:?}");
+        assert_eq!(submit(&e, 9, 50, &reading(1)), Ok(None), "{store:?}");
         assert_eq!(
-            e.submit(9, 50, &reading(1)),
+            submit(&e, 9, 50, &reading(1)),
             Err(SubmitError::OutOfOrder { last: 50, got: 50 }),
             "{store:?}"
         );
@@ -308,20 +324,20 @@ fn verdict_values_are_preserved_across_slot_reuse() {
     for store in [StoreKind::BTree, StoreKind::Slab] {
         let (e, _) = engine(store, 2);
         e.set_time(0);
-        let a0 = e.submit(77, 0, &reading(0)).unwrap();
-        let a1 = e.submit(77, 1, &reading(0)).unwrap();
+        let a0 = submit(&e, 77, 0, &reading(0)).unwrap();
+        let a1 = submit(&e, 77, 1, &reading(0)).unwrap();
         assert_eq!(a0, None, "{store:?}: warm-up");
         assert!(a1.is_some(), "{store:?}: window of 2 filled");
         assert_eq!(e.evict_idle_at(20), vec![77], "{store:?}");
         e.set_time(20);
-        let b0 = e.submit(77, 0, &reading(500)).unwrap();
-        let b1 = e.submit(77, 1, &reading(500)).unwrap();
+        let b0 = submit(&e, 77, 0, &reading(500)).unwrap();
+        let b1 = submit(&e, 77, 1, &reading(500)).unwrap();
         assert_eq!(b0, None, "{store:?}: reincarnated warm-up");
         // Oracle: the same two readings on a never-evicted fresh engine.
         let (fresh, _) = engine(store, 2);
         fresh.set_time(0);
-        fresh.submit(77, 0, &reading(500)).unwrap();
-        let want = fresh.submit(77, 1, &reading(500)).unwrap();
+        submit(&fresh, 77, 0, &reading(500)).unwrap();
+        let want = submit(&fresh, 77, 1, &reading(500)).unwrap();
         assert_eq!(b1, want, "{store:?}: reused ring must match fresh ring");
         assert!(matches!(
             want,

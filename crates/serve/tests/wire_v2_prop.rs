@@ -35,6 +35,7 @@ fn arb_error_code() -> impl Strategy<Value = ErrorCode> {
         Just(ErrorCode::UnsupportedVersion),
         Just(ErrorCode::Unexpected),
         Just(ErrorCode::ShuttingDown),
+        Just(ErrorCode::BadValue),
     ]
 }
 

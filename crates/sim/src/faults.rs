@@ -32,7 +32,7 @@ pub enum StreamFault {
     /// discard silently, never stall).
     Truncate,
     /// Replays an already-accepted sequence number
-    /// (`Error{out_of_order}`, detector state untouched).
+    /// (`Error{out_of_order}`, window state untouched).
     SeqRegress,
     /// Goes quiet past the idle threshold, then submits on the exact
     /// virtual tick its session is swept — the eviction race.

@@ -234,6 +234,7 @@ fn error_code_id(code: &ErrorCode) -> u64 {
         ErrorCode::UnsupportedVersion => 6,
         ErrorCode::Unexpected => 7,
         ErrorCode::ShuttingDown => 8,
+        ErrorCode::BadValue => 9,
     }
 }
 

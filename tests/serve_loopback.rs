@@ -179,6 +179,16 @@ fn malformed_and_wrong_arity_frames_do_not_kill_the_worker() {
     // 4. The same connection still serves valid traffic afterwards.
     assert!(client.submit(1, 11, &good[1]).is_ok());
 
+    // 4b. A NaN counter (v1 JSON cannot carry one, v2 can) →
+    //     Error{bad_value}; the rejected reading consumed no seq.
+    let mut v2 =
+        DetectorClient::connect_with(addr, Duration::from_secs(10), WireFormat::V2Binary).unwrap();
+    match v2.submit(2, 0, &[good[0][0], f64::NAN, good[0][2], good[0][3]]) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::BadValue),
+        other => panic!("expected bad_value, got {other:?}"),
+    }
+    assert!(v2.submit(2, 0, &good[0]).is_ok());
+
     // 5. The abuse is all visible in the drained metrics.
     let stats = client.drain().unwrap();
     assert!(stats.malformed >= 1, "malformed counted: {stats:?}");
