@@ -16,7 +16,7 @@ use hmd_hpc_sim::event::Event;
 use hmd_hpc_sim::workload::AppClass;
 use hmd_ml::prelude::*;
 use std::hint::black_box;
-use twosmart::detector::{CascadeMode, DetectBatchScratch, DetectScratch, TwoSmartDetector};
+use twosmart::detector::{CascadeMode, DetectBatchScratch, TwoSmartDetector};
 
 /// Batch sizes for the full-cascade rows; 64 is the gate size (one shard
 /// drain's worth of ready windows under a bursty fleet).
@@ -60,14 +60,13 @@ fn kernel_dataset() -> Dataset {
 
 fn bench_detect_scalar_loop(c: &mut Criterion) {
     let det = detector();
-    let mut scratch = DetectScratch::new();
     for lanes in SIZES {
         let flat = rows(lanes);
         c.bench_function(&format!("batch/detect_scalar_loop/{lanes}"), |b| {
             b.iter(|| {
                 let mut malware = 0usize;
                 for row in flat.chunks_exact(Event::COUNT) {
-                    let v = det.detect_with(black_box(row), &mut scratch);
+                    let v = det.detect(black_box(row));
                     malware += usize::from(!matches!(v, twosmart::detector::Verdict::Benign));
                 }
                 malware
@@ -76,7 +75,7 @@ fn bench_detect_scalar_loop(c: &mut Criterion) {
     }
 }
 
-fn bench_detect_batch(c: &mut Criterion) {
+fn bench_cascade_batch(c: &mut Criterion) {
     let det = detector();
     let mut scratch = DetectBatchScratch::new();
     let mut out = Vec::new();
@@ -98,7 +97,7 @@ fn bench_detect_batch(c: &mut Criterion) {
 
 /// The gated cascade at batch 64 — same batch, stage 2 skipped wherever
 /// stage-1 confidence clears the gate.
-fn bench_detect_batch_gated(c: &mut Criterion) {
+fn bench_cascade_batch_gated(c: &mut Criterion) {
     let det = detector();
     let mut scratch = DetectBatchScratch::new();
     let mut out = Vec::new();
@@ -165,8 +164,8 @@ fn bench_kernels(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_detect_scalar_loop,
-    bench_detect_batch,
-    bench_detect_batch_gated,
+    bench_cascade_batch,
+    bench_cascade_batch_gated,
     bench_kernels
 );
 criterion_main!(benches);

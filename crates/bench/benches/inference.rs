@@ -3,8 +3,8 @@
 //! `detect_from_counters`, and leaf-level classifier scoring.
 //!
 //! These are the costs that bound how many 10 ms HPC samples a deployment
-//! can score per core. `BENCH_inference.json` records before/after numbers
-//! for the zero-allocation rewrite of this path.
+//! can score per core. Every row runs an allocation-free path;
+//! `BENCH_inference.json` records their figures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hmd_bench::setup::{Experiment, Scale};
@@ -12,7 +12,7 @@ use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
 use hmd_hpc_sim::workload::AppClass;
 use hmd_ml::classifier::ClassifierKind;
 use std::hint::black_box;
-use twosmart::detector::{DetectScratch, TwoSmartDetector};
+use twosmart::detector::TwoSmartDetector;
 use twosmart::online::OnlineDetector;
 use twosmart::pipeline::class_dataset_from;
 use twosmart::stage2::{SpecializedDetector, Stage2Config};
@@ -71,21 +71,6 @@ fn bench_detect_from_counters(c: &mut Criterion) {
     });
 }
 
-/// The scratch-buffer variant of `detect_from_counters`: identical verdicts
-/// with caller-owned buffers instead of per-call allocation.
-fn bench_detect_from_counters_scratch(c: &mut Criterion) {
-    let det = detector();
-    let inputs = readings(64);
-    let mut scratch = DetectScratch::new();
-    let mut i = 0;
-    c.bench_function("detector/detect_from_counters_with", |b| {
-        b.iter(|| {
-            i = (i + 1) % inputs.len();
-            det.detect_from_counters_with(black_box(&inputs[i]), &mut scratch)
-        })
-    });
-}
-
 fn bench_stage2_score(c: &mut Criterion) {
     let exp = Experiment::prepare(Scale::Tiny);
     let binary = class_dataset_from(&exp.train, AppClass::Virus);
@@ -95,25 +80,10 @@ fn bench_stage2_score(c: &mut Criterion) {
     c.bench_function("stage2/score", |b| b.iter(|| det.score(black_box(&sample))));
 }
 
-/// The scratch-buffer variant of `stage2/score`.
-fn bench_stage2_score_scratch(c: &mut Criterion) {
-    let exp = Experiment::prepare(Scale::Tiny);
-    let binary = class_dataset_from(&exp.train, AppClass::Virus);
-    let config = Stage2Config::new(ClassifierKind::J48);
-    let det = SpecializedDetector::train(&binary, AppClass::Virus, &config, 0).expect("trains");
-    let sample = exp.corpus.records()[0].features.clone();
-    let (mut x, mut proba) = (Vec::new(), Vec::new());
-    c.bench_function("stage2/score_with", |b| {
-        b.iter(|| det.score_with(black_box(&sample), &mut x, &mut proba))
-    });
-}
-
 criterion_group!(
     benches,
     bench_online_push,
     bench_detect_from_counters,
-    bench_detect_from_counters_scratch,
-    bench_stage2_score,
-    bench_stage2_score_scratch
+    bench_stage2_score
 );
 criterion_main!(benches);

@@ -3,9 +3,9 @@
 //!
 //! Costs are extracted from the *fitted* models via
 //! [`hmd_hwmodel::extract_topology`] and priced by the calibrated
-//! [`CostModel`](hmd_hwmodel::CostModel). Per classifier we report the mean
-//! over the four per-class specialized detectors (the paper reports one
-//! row per classifier).
+//! [`CostModel`]. Per classifier we report the mean over the four
+//! per-class specialized detectors (the paper reports one row per
+//! classifier).
 
 use crate::grid::HpcConfig;
 use crate::report::markdown_table;

@@ -38,7 +38,7 @@ use hmd_hpc_sim::corpus::Corpus;
 use hmd_hpc_sim::event::Event;
 use hmd_hpc_sim::workload::AppClass;
 use hmd_ml::batch::BatchScratch;
-use hmd_ml::classifier::{ClassifierKind, TrainError};
+use hmd_ml::classifier::{argmax, ClassifierKind, TrainError};
 use hmd_ml::data::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,8 +70,8 @@ impl Verdict {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CascadeMode {
     /// Run stage 2 for every malware-routed lane. Verdicts are
-    /// bit-identical to the scalar [`TwoSmartDetector::detect_with`] path —
-    /// the oracle the property suite compares against.
+    /// bit-identical to the scalar [`TwoSmartDetector::detect`] path — the
+    /// oracle the property suite compares against.
     Always,
     /// Skip stage 2 when the stage-1 probability of the routed class is at
     /// least this threshold; the verdict is then
@@ -99,30 +99,6 @@ pub struct CascadeVerdict {
     pub routed: AppClass,
     /// `true` when the stage-2 specialist scored this lane.
     pub stage2_ran: bool,
-}
-
-/// Reusable scratch buffers for the allocation-free detection hot path.
-///
-/// One `DetectScratch` owns every temporary both stages need: the stage-1
-/// log-transformed projection and class probabilities, and the stage-2
-/// event projection and binary probabilities. After the buffers grow to
-/// steady-state size on the first call, repeated
-/// [`TwoSmartDetector::detect_with`] /
-/// [`TwoSmartDetector::detect_from_counters_with`] calls perform no heap
-/// allocation.
-#[derive(Debug, Clone, Default)]
-pub struct DetectScratch {
-    stage1_logged: Vec<f64>,
-    stage1_proba: Vec<f64>,
-    stage2_x: Vec<f64>,
-    stage2_proba: Vec<f64>,
-}
-
-impl DetectScratch {
-    /// Empty scratch; buffers grow on first use.
-    pub fn new() -> DetectScratch {
-        DetectScratch::default()
-    }
 }
 
 /// Reusable scratch for the batched detection path.
@@ -358,41 +334,21 @@ impl TwoSmartDetector {
         &self.stage2
     }
 
-    /// Classifies one 44-event feature row through both stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features44` does not have 44 entries.
-    pub fn detect(&self, features44: &[f64]) -> Verdict {
-        self.detect_with(features44, &mut DetectScratch::new())
-    }
-
-    /// [`detect`](Self::detect) through caller-owned scratch buffers — the
-    /// allocation-free hot path. The verdict is bit-identical to the
-    /// allocating path (the specialist score is a pure function, computed
-    /// once here instead of once per `is_malware`/`score` call).
+    /// Classifies one 44-event feature row through both stages: one
+    /// stage-1 routing call and, for a malware routing, one specialist
+    /// score. Allocation-free; every buffer lives on the stack.
     ///
     /// # Panics
     ///
     /// Panics if `features44` does not have 44 entries.
     // hmd-analyze: hot-path
-    pub fn detect_with(&self, features44: &[f64], scratch: &mut DetectScratch) -> Verdict {
-        assert_eq!(
-            features44.len(),
-            Event::COUNT,
-            "expected the 44-event layout"
-        );
-        let routed = self.stage1.predict_class_with(
-            features44,
-            &mut scratch.stage1_logged,
-            &mut scratch.stage1_proba,
-        );
+    pub fn detect(&self, features44: &[f64]) -> Verdict {
+        let routed = self.stage1.predict_class(features44);
         if routed == AppClass::Benign {
             return Verdict::Benign;
         }
         let specialist = self.stage2(routed);
-        let confidence =
-            specialist.score_with(features44, &mut scratch.stage2_x, &mut scratch.stage2_proba);
+        let confidence = specialist.score(features44);
         if confidence >= specialist.threshold() {
             Verdict::Malware {
                 class: routed,
@@ -403,25 +359,12 @@ impl TwoSmartDetector {
         }
     }
 
-    /// Classifies a whole batch of 44-event rows (`features`, row-major
-    /// `lanes × 44`), allocating fresh scratch. See
-    /// [`detect_batch_with`](Self::detect_batch_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` is not a multiple of 44.
-    pub fn detect_batch(&self, features: &[f64], mode: CascadeMode) -> Vec<CascadeVerdict> {
-        let mut out = Vec::new();
-        self.detect_batch_with(features, mode, &mut DetectBatchScratch::new(), &mut out);
-        out
-    }
-
     /// The batched two-stage cascade: stage 1 routes every lane through
     /// the SoA MLR kernel, then each malware class's specialist scores its
     /// routed lanes in one batched call.
     ///
     /// Under [`CascadeMode::Always`], every lane's verdict is bit-identical
-    /// to [`detect_with`](Self::detect_with) on that lane's row (the
+    /// to [`detect`](Self::detect) on that lane's row (the
     /// per-class regrouping reorders *which lanes* a specialist sees
     /// together, never any lane's arithmetic). Under
     /// [`CascadeMode::Gated`], lanes whose stage-1 routed-class probability
@@ -551,16 +494,12 @@ impl TwoSmartDetector {
             /// Whether the always-run cascade flags this row as malware.
             always_malware: bool,
         }
-        let mut scratch = DetectScratch::new();
         let samples: Vec<Sample> = (0..validation.len())
             .map(|i| {
                 let x = validation.features_of(i);
                 let truth = validation.label_of(i) != AppClass::Benign.label();
-                let routed = self.stage1.predict_class_with(
-                    x,
-                    &mut scratch.stage1_logged,
-                    &mut scratch.stage1_proba,
-                );
+                let proba = self.stage1.class_probabilities(x);
+                let routed = AppClass::from_label(argmax(&proba)).expect("5-class model");
                 if routed == AppClass::Benign {
                     return Sample {
                         truth,
@@ -568,14 +507,11 @@ impl TwoSmartDetector {
                         always_malware: false,
                     };
                 }
-                let conf = scratch.stage1_proba[routed.label()];
                 let specialist = self.stage2(routed);
-                let score =
-                    specialist.score_with(x, &mut scratch.stage2_x, &mut scratch.stage2_proba);
                 Sample {
                     truth,
-                    conf: Some(conf),
-                    always_malware: score >= specialist.threshold(),
+                    conf: Some(proba[routed.label()]),
+                    always_malware: specialist.score(x) >= specialist.threshold(),
                 }
             })
             .collect();
@@ -650,25 +586,8 @@ impl TwoSmartDetector {
     /// Panics if the detector is not run-time deployable (see
     /// [`runtime_events`](Self::runtime_events)) or `counters` has the
     /// wrong length.
-    pub fn detect_from_counters(&self, counters: &[f64]) -> Verdict {
-        self.detect_from_counters_with(counters, &mut DetectScratch::new())
-    }
-
-    /// [`detect_from_counters`](Self::detect_from_counters) through
-    /// caller-owned scratch buffers — the allocation-free hot path (the
-    /// 44-event expansion itself lives on the stack).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the detector is not run-time deployable (see
-    /// [`runtime_events`](Self::runtime_events)) or `counters` has the
-    /// wrong length.
     // hmd-analyze: hot-path
-    pub fn detect_from_counters_with(
-        &self,
-        counters: &[f64],
-        scratch: &mut DetectScratch,
-    ) -> Verdict {
+    pub fn detect_from_counters(&self, counters: &[f64]) -> Verdict {
         let events = self
             .runtime_events()
             .expect("detector reads beyond the 4 run-time HPCs; train with hpc_budget(4)");
@@ -681,7 +600,7 @@ impl TwoSmartDetector {
         for (e, &c) in events.iter().zip(counters) {
             features44[e.index()] = c;
         }
-        self.detect_with(&features44, scratch)
+        self.detect(&features44)
     }
 
     /// Pooled malware-vs-benign F-measure of the full pipeline on a

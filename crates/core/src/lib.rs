@@ -47,8 +47,7 @@ pub mod stage1;
 pub mod stage2;
 
 pub use detector::{
-    CascadeMode, CascadeVerdict, DetectBatchScratch, DetectScratch, TwoSmartBuilder,
-    TwoSmartDetector, Verdict,
+    CascadeMode, CascadeVerdict, DetectBatchScratch, TwoSmartBuilder, TwoSmartDetector, Verdict,
 };
 pub use features::{derive_feature_sets, DerivedFeatures, FeatureSet, COMMON_EVENTS};
 pub use online::{HostWindow, OnlineDetector, OnlineError};

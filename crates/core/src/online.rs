@@ -40,7 +40,7 @@
 //! # }
 //! ```
 
-use crate::detector::{DetectScratch, TwoSmartDetector, Verdict};
+use crate::detector::{TwoSmartDetector, Verdict};
 use hmd_hpc_sim::event::Event;
 use hmd_hpc_sim::workload::AppClass;
 use std::collections::VecDeque;
@@ -334,8 +334,6 @@ impl HostWindow {
 pub struct OnlineDetector {
     host: HostWindow,
     detector: TwoSmartDetector,
-    /// Detection scratch reused across pushes.
-    scratch: DetectScratch,
 }
 
 impl OnlineDetector {
@@ -353,7 +351,6 @@ impl OnlineDetector {
         Ok(OnlineDetector {
             host: HostWindow::new(&detector, window, votes)?,
             detector,
-            scratch: DetectScratch::new(),
         })
     }
 
@@ -377,7 +374,7 @@ impl OnlineDetector {
         if !ready {
             return None;
         }
-        let raw = self.detector.detect_with(&features44, &mut self.scratch);
+        let raw = self.detector.detect(&features44);
         Some(self.host.apply_verdict(raw))
     }
 

@@ -64,7 +64,8 @@ pub enum PersistError {
     /// The file was not valid snapshot JSON.
     Json(String),
     /// The JSON parsed but describes an unusable detector (missing
-    /// specialists, empty event lists, non-finite thresholds, …).
+    /// specialists, empty event lists, out-of-range thresholds, unfitted
+    /// models, …).
     Invalid(String),
 }
 
@@ -168,7 +169,7 @@ impl DetectorSnapshot {
                     s.class,
                     s.config,
                     s.events.clone(),
-                    Box::new(s.model.clone()),
+                    s.model.clone().into_classifier(),
                 );
                 d.set_threshold(s.threshold);
                 d
@@ -178,43 +179,63 @@ impl DetectorSnapshot {
     }
 
     /// Checks the structural invariants [`TwoSmartDetector::from_parts`]
-    /// asserts, plus value sanity the assertions do not cover.
+    /// asserts, plus what restoring and serving assume of the models.
     ///
     /// # Errors
     ///
     /// [`PersistError::Invalid`] naming the first violated invariant:
-    /// stage-1 events empty, a missing/duplicate/benign specialist, a
-    /// specialist with no events, or a non-finite decision threshold.
+    /// - an empty event list, or one longer than [`Event::COUNT`];
+    /// - a stage-1 MLR that is unfitted or not shaped
+    ///   `(stage1_events.len(), 5)`;
+    /// - a missing, duplicate or benign specialist;
+    /// - a specialist threshold outside `[0, 1]`;
+    /// - a specialist model that is unfitted, not binary, or a damaged
+    ///   ensemble (see [`AnyModel::validate`]).
     pub fn validate(&self) -> Result<(), PersistError> {
-        if self.stage1_events.is_empty() {
-            return Err(PersistError::Invalid("stage-1 event list is empty".into()));
+        let invalid = |what: String| Err(PersistError::Invalid(what));
+        let n = self.stage1_events.len();
+        if n == 0 || n > Event::COUNT {
+            return invalid(format!(
+                "stage 1 reads {n} events, not 1 to {}",
+                Event::COUNT
+            ));
+        }
+        if self.stage1_model.shape() != Some((n, AppClass::ALL.len())) {
+            return invalid(format!(
+                "stage-1 MLR is unfitted or not shaped ({n} events, {} classes)",
+                AppClass::ALL.len()
+            ));
         }
         for class in AppClass::MALWARE {
             let n = self.stage2.iter().filter(|s| s.class == class).count();
             if n != 1 {
-                return Err(PersistError::Invalid(format!(
+                return invalid(format!(
                     "expected exactly one {class} specialist, found {n}"
-                )));
+                ));
             }
         }
         for s in &self.stage2 {
-            if !s.class.is_malware() {
-                return Err(PersistError::Invalid(format!(
-                    "specialist for non-malware class {}",
-                    s.class
-                )));
+            let class = s.class;
+            if !class.is_malware() {
+                return invalid(format!("specialist for non-malware class {class}"));
             }
-            if s.events.is_empty() {
-                return Err(PersistError::Invalid(format!(
-                    "{} specialist has an empty event list",
-                    s.class
-                )));
+            let n = s.events.len();
+            if n == 0 || n > Event::COUNT {
+                return invalid(format!(
+                    "{class} specialist reads {n} events, not 1 to {}",
+                    Event::COUNT
+                ));
             }
-            if !s.threshold.is_finite() {
-                return Err(PersistError::Invalid(format!(
-                    "{} specialist threshold is not finite",
-                    s.class
-                )));
+            if !(0.0..=1.0).contains(&s.threshold) {
+                return invalid(format!(
+                    "{class} specialist threshold {} is outside [0, 1]",
+                    s.threshold
+                ));
+            }
+            match s.model.validate() {
+                Ok(2) => {}
+                Ok(k) => return invalid(format!("{class} specialist has {k} classes, not 2")),
+                Err(why) => return invalid(format!("{class} specialist: {why}")),
             }
         }
         Ok(())
@@ -259,6 +280,7 @@ mod tests {
     use super::*;
     use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
     use hmd_ml::classifier::ClassifierKind;
+    use hmd_ml::tree::J48;
 
     fn trained(boosted: bool) -> (TwoSmartDetector, hmd_hpc_sim::corpus::Corpus) {
         let corpus = CorpusBuilder::new(CorpusSpec::tiny()).build();
@@ -350,9 +372,54 @@ mod tests {
         bad_threshold.stage2[0].threshold = f64::NAN;
         assert!(bad_threshold.validate().is_err());
 
-        let mut no_events = good;
+        let mut no_events = good.clone();
         no_events.stage1_events.clear();
         assert!(no_events.validate().is_err());
+
+        // Damage that restore or serving cannot survive: `set_threshold`
+        // panics outside [0, 1], and a model that is unfitted, mis-shaped,
+        // non-binary or reads more than 44 events panics on its first
+        // score.
+        let invalid = |damage: &dyn Fn(&mut DetectorSnapshot)| {
+            let mut snapshot = good.clone();
+            damage(&mut snapshot);
+            matches!(snapshot.validate(), Err(PersistError::Invalid(_)))
+        };
+        assert!(invalid(&|s| s.stage2[0].threshold = 1.5));
+        assert!(invalid(&|s| s.stage1_model = Mlr::new()));
+        assert!(invalid(&|s| {
+            s.stage1_events.pop();
+        }));
+        assert!(invalid(&|s| s.stage1_events = vec![Event::ALL[0]; 45]));
+        assert!(invalid(&|s| s.stage2[0].events = vec![Event::ALL[0]; 45]));
+        assert!(invalid(&|s| s.stage2[0].model = AnyModel::J48(J48::new())));
+        assert!(invalid(&|s| {
+            s.stage2[0].model = AnyModel::Mlr(s.stage1_model.clone());
+        }));
+
+        let (boosted, _) = trained(true);
+        let boosted = DetectorSnapshot::capture(&boosted).unwrap();
+        assert!(boosted.validate().is_ok());
+        // An ensemble with no bases panics in its vote, one with a base or
+        // weight too many silently drops a round, and a nested AdaBoost
+        // re-borrows its vote scratch and panics.
+        let AnyModel::Boosted { bases, weights, .. } = &boosted.stage2[0].model else {
+            panic!("a boosted detector snapshots its specialists as Boosted");
+        };
+        let ensembles = [
+            (Vec::new(), Vec::new()),
+            (bases.clone(), vec![1.0; weights.len() + 1]),
+            (vec![boosted.stage2[1].model.clone()], vec![1.0]),
+        ];
+        for (bases, weights) in ensembles {
+            let mut damaged = boosted.clone();
+            damaged.stage2[0].model = AnyModel::Boosted {
+                bases,
+                weights,
+                n_classes: 2,
+            };
+            assert!(matches!(damaged.validate(), Err(PersistError::Invalid(_))));
+        }
     }
 
     #[test]

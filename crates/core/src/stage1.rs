@@ -32,13 +32,6 @@ use hmd_ml::data::Dataset;
 use hmd_ml::logistic::Mlr;
 use hmd_ml::metrics::ConfusionMatrix;
 
-thread_local! {
-    /// Reused (logged projection, class probability) scratch backing the
-    /// allocating [`Stage1Model::predict_class`] wrapper.
-    static ROUTE_SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
-
 /// A trained stage-1 application-type predictor.
 ///
 /// Counter rates are approximately log-normal, so the model fits the
@@ -102,53 +95,39 @@ impl Stage1Model {
         &self.events
     }
 
-    /// Predicted application class from a full 44-event feature row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features44` does not have 44 entries.
-    pub fn predict_class(&self, features44: &[f64]) -> AppClass {
-        // One reused thread-local scratch pair instead of two fresh Vecs
-        // per call; routing is bit-identical to `predict_class_with`.
-        ROUTE_SCRATCH.with(|s| {
-            let (logged, proba) = &mut *s.borrow_mut();
-            self.predict_class_with(features44, logged, proba)
-        })
-    }
-
-    /// [`predict_class`](Self::predict_class) through caller-owned scratch
-    /// buffers — the allocation-free hot path. `logged` receives the
-    /// projected log-transformed counters and `proba` the class
-    /// probabilities; both are resized as needed and produce bit-identical
-    /// routing to the allocating path.
+    /// Class-membership probabilities from a full 44-event feature row, in
+    /// [`AppClass::ALL`] order. Both buffers live on the stack: a
+    /// projection holds at most [`Event::COUNT`] readings.
     ///
     /// # Panics
     ///
     /// Panics if `features44` does not have 44 entries.
     // hmd-analyze: hot-path
-    pub fn predict_class_with(
-        &self,
-        features44: &[f64],
-        logged: &mut Vec<f64>,
-        proba: &mut Vec<f64>,
-    ) -> AppClass {
+    pub fn class_probabilities(&self, features44: &[f64]) -> [f64; AppClass::ALL.len()] {
         assert_eq!(
             features44.len(),
             Event::COUNT,
             "expected the 44-event layout"
         );
-        // Projection and log transform fused into one pass; each element is
-        // the same `(1 + max(v, 0)).ln()` expression the allocating path
-        // computes, so the result is bit-identical.
-        logged.clear();
-        logged.extend(
-            self.events
-                .iter()
-                .map(|e| (1.0 + features44[e.index()].max(0.0)).ln()),
-        );
-        proba.resize(self.model.n_classes(), 0.0);
-        self.model.predict_proba_into(logged, proba);
-        AppClass::from_label(argmax(proba)).expect("5-class model")
+        let mut logged = [0.0; Event::COUNT];
+        for (slot, e) in logged.iter_mut().zip(&self.events) {
+            *slot = (1.0 + features44[e.index()].max(0.0)).ln();
+        }
+        let mut proba = [0.0; AppClass::ALL.len()];
+        self.model
+            .predict_proba_into(&logged[..self.events.len()], &mut proba);
+        proba
+    }
+
+    /// Predicted application class from a full 44-event feature row: the
+    /// most probable class of [`class_probabilities`](Self::class_probabilities).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features44` does not have 44 entries.
+    // hmd-analyze: hot-path
+    pub fn predict_class(&self, features44: &[f64]) -> AppClass {
+        AppClass::from_label(argmax(&self.class_probabilities(features44))).expect("5-class model")
     }
 
     /// Routes a whole batch of 44-event rows (`features`, row-major
@@ -156,8 +135,8 @@ impl Stage1Model {
     /// projection in SoA layout, `proba` with row-major
     /// `lanes × n_classes` class probabilities, and `routed` with each
     /// lane's predicted class. Every lane's probabilities and routing are
-    /// bit-identical to [`predict_class_with`](Self::predict_class_with) on
-    /// that lane's row.
+    /// bit-identical to [`class_probabilities`](Self::class_probabilities)
+    /// and [`predict_class`](Self::predict_class) on that lane's row.
     ///
     /// # Panics
     ///
@@ -194,37 +173,6 @@ impl Stage1Model {
                 .chunks_exact(k)
                 .map(|row| AppClass::from_label(argmax(row)).expect("5-class model")),
         );
-    }
-
-    /// Predicted class from counter readings in the model's event order —
-    /// the run-time entry point (only the programmed counters exist).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counters.len() != events().len()`.
-    pub fn predict_from_counters(&self, counters: &[f64]) -> AppClass {
-        assert_eq!(
-            counters.len(),
-            self.events.len(),
-            "one reading per programmed event"
-        );
-        AppClass::from_label(self.model.predict(&log_row(counters))).expect("5-class model")
-    }
-
-    /// Class-membership probabilities from a full 44-event feature row, in
-    /// [`AppClass::ALL`] order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features44` does not have 44 entries.
-    pub fn predict_proba(&self, features44: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            features44.len(),
-            Event::COUNT,
-            "expected the 44-event layout"
-        );
-        let projected: Vec<f64> = self.events.iter().map(|e| features44[e.index()]).collect();
-        self.model.predict_proba(&log_row(&projected))
     }
 
     /// Multiclass accuracy on a 5-class, 44-event test set.
@@ -273,28 +221,39 @@ mod tests {
 
     #[test]
     fn predict_paths_agree() {
+        // The stack-buffer path against the MLR's own allocating path on
+        // the logged projection, bit for bit.
         let d = data();
         let m = Stage1Model::train(&d, &COMMON_EVENTS).unwrap();
-        let row = d.features_of(0);
-        let projected: Vec<f64> = COMMON_EVENTS.iter().map(|e| row[e.index()]).collect();
-        assert_eq!(m.predict_class(row), m.predict_from_counters(&projected));
+        for i in 0..d.len() {
+            let row = d.features_of(i);
+            let projected: Vec<f64> = COMMON_EVENTS.iter().map(|e| row[e.index()]).collect();
+            let logged = log_row(&projected);
+            assert_eq!(
+                m.class_probabilities(row).to_vec(),
+                m.mlr().predict_proba(&logged)
+            );
+            assert_eq!(
+                m.predict_class(row),
+                AppClass::from_label(m.mlr().predict(&logged)).unwrap()
+            );
+        }
     }
 
     #[test]
     fn probabilities_cover_all_five_classes() {
         let d = data();
         let m = Stage1Model::train(&d, &COMMON_EVENTS).unwrap();
-        let p = m.predict_proba(d.features_of(0));
-        assert_eq!(p.len(), 5);
+        let p = m.class_probabilities(d.features_of(0));
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "one reading per programmed event")]
-    fn counter_arity_is_checked() {
+    #[should_panic(expected = "expected the 44-event layout")]
+    fn feature_layout_is_checked() {
         let d = data();
         let m = Stage1Model::train(&d, &COMMON_EVENTS).unwrap();
-        m.predict_from_counters(&[1.0, 2.0]);
+        m.predict_class(&[1.0, 2.0]);
     }
 
     #[test]

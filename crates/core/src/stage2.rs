@@ -37,13 +37,6 @@ use hmd_ml::rules::JRip;
 use hmd_ml::tree::J48;
 use serde::{Deserialize, Serialize};
 
-thread_local! {
-    /// Reused (event projection, binary probability) scratch backing the
-    /// allocating [`SpecializedDetector::score`] wrapper.
-    static SCORE_SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
-
 /// Configuration of one specialized detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Stage2Config {
@@ -386,40 +379,26 @@ impl SpecializedDetector {
         &self.events
     }
 
-    /// Probability that a 44-event feature row is this malware class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features44` does not have 44 entries.
-    pub fn score(&self, features44: &[f64]) -> f64 {
-        // One reused thread-local scratch pair instead of two fresh Vecs
-        // per call; the score is bit-identical to `score_with`.
-        SCORE_SCRATCH.with(|s| {
-            let (x, proba) = &mut *s.borrow_mut();
-            self.score_with(features44, x, proba)
-        })
-    }
-
-    /// [`score`](Self::score) through caller-owned scratch buffers — the
-    /// allocation-free hot path. `x` receives the projected event readings
-    /// and `proba` the binary class probabilities; both are resized as
-    /// needed and the returned score is bit-identical to the allocating
-    /// path.
+    /// Probability that a 44-event feature row is this malware class. The
+    /// projection and the two class probabilities live on the stack.
     ///
     /// # Panics
     ///
     /// Panics if `features44` does not have 44 entries.
     // hmd-analyze: hot-path
-    pub fn score_with(&self, features44: &[f64], x: &mut Vec<f64>, proba: &mut Vec<f64>) -> f64 {
+    pub fn score(&self, features44: &[f64]) -> f64 {
         assert_eq!(
             features44.len(),
             Event::COUNT,
             "expected the 44-event layout"
         );
-        x.clear();
-        x.extend(self.events.iter().map(|e| features44[e.index()]));
-        proba.resize(self.model.n_classes(), 0.0);
-        self.model.predict_proba_into(x, proba);
+        let mut x = [0.0; Event::COUNT];
+        for (slot, e) in x.iter_mut().zip(&self.events) {
+            *slot = features44[e.index()];
+        }
+        let mut proba = [0.0; 2];
+        self.model
+            .predict_proba_into(&x[..self.events.len()], &mut proba);
         proba[1]
     }
 

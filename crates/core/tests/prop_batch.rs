@@ -1,6 +1,6 @@
 //! Property-based bit-identity check for the batched cascade: under
 //! [`CascadeMode::Always`], `detect_batch_with` must produce, for every
-//! lane, a verdict bit-for-bit identical to the scalar `detect_with` on
+//! lane, a verdict bit-for-bit identical to the scalar `detect` on
 //! that lane's row — across batch sizes, duplicate- and NaN-heavy feature
 //! rows, and every fitted model kind. The serving layer swaps the scalar
 //! loop for the batch path on this guarantee; a single differing ULP in a
@@ -12,7 +12,7 @@ use hmd_hpc_sim::workload::AppClass;
 use hmd_ml::classifier::ClassifierKind;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use twosmart::detector::{CascadeMode, DetectBatchScratch, DetectScratch, Verdict};
+use twosmart::detector::{CascadeMode, DetectBatchScratch, Verdict};
 use twosmart::TwoSmartDetector;
 
 fn corpus() -> &'static Corpus {
@@ -94,7 +94,6 @@ proptest! {
 
     #[test]
     fn always_mode_is_bit_identical_to_scalar(pool in arb_row_pool()) {
-        let mut scalar_scratch = DetectScratch::new();
         let mut batch_scratch = DetectBatchScratch::new();
         let mut out = Vec::new();
         for (label, det) in detectors() {
@@ -104,7 +103,7 @@ proptest! {
                 prop_assert_eq!(out.len(), lanes);
                 for (lane, cv) in out.iter().enumerate() {
                     let row = &flat[lane * Event::COUNT..(lane + 1) * Event::COUNT];
-                    let scalar = det.detect_with(row, &mut scalar_scratch);
+                    let scalar = det.detect(row);
                     prop_assert_eq!(
                         verdict_bits(&cv.verdict),
                         verdict_bits(&scalar),

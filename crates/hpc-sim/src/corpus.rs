@@ -4,9 +4,9 @@
 //! 4-event batch — inside a fresh container each run, samples at 10 ms, and
 //! aggregates the readings into one 44-feature vector. [`CorpusBuilder`]
 //! reproduces exactly that: fresh [`Container`](crate::container::Container)
-//! per run, a [`PerfSession`](crate::perf::PerfSession) per batch (so the
-//! 4-register constraint is structurally enforced), and per-event mean rates
-//! as features. The default [`CorpusSpec`] matches the paper's class counts:
+//! per run, a [`PerfSession`] per batch (so the 4-register constraint is
+//! structurally enforced), and per-event mean rates as features. The
+//! default [`CorpusSpec`] matches the paper's class counts:
 //! 452 Backdoor, 350 Rootkit, 650 Virus, 1169 Trojan, plus benign programs
 //! for a total above 3000.
 //!

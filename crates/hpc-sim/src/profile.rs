@@ -4,8 +4,8 @@
 //! vectors of event *rates* per 10 ms sampling interval. This module models a
 //! running program as a small set of physically meaningful knobs
 //! ([`BehaviorProfile`]) — IPC, branch density, cache/TLB miss rates, NUMA
-//! traffic share — from which all 44 [`Event`](crate::event::Event) rates are
-//! *derived*. Deriving dependent events (e.g. `branch-misses` =
+//! traffic share — from which all 44 [`Event`] rates are *derived*.
+//! Deriving dependent events (e.g. `branch-misses` =
 //! `branch-instructions` × misprediction rate) instead of sampling each event
 //! independently gives the synthetic traces the same correlation structure a
 //! real counter file has, which is exactly what the paper's correlation-based

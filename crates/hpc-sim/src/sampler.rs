@@ -1,10 +1,9 @@
 //! Trace recording: 10 ms sampling of a running application.
 //!
-//! A [`Sampler`] drives an [`AppInstance`](crate::workload::AppInstance) and
-//! records a ground-truth [`HpcTrace`] — the counts of all 44 events per
-//! sampling interval, with no counter-register constraint. This is the
-//! "oracle" view; the realistic constrained view (at most 4 events per run)
-//! lives in [`crate::perf`].
+//! A [`Sampler`] drives an [`AppInstance`] and records a ground-truth
+//! [`HpcTrace`] — the counts of all 44 events per sampling interval, with
+//! no counter-register constraint. This is the "oracle" view; the realistic
+//! constrained view (at most 4 events per run) lives in [`crate::perf`].
 //!
 //! # Examples
 //!

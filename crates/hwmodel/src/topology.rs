@@ -3,9 +3,8 @@
 //! Hardware cost depends on the *fitted* model, not the algorithm: a
 //! 3-level tree costs a 3-comparator pipeline regardless of how it was
 //! trained. [`ModelTopology`] is the neutral structural description;
-//! [`extract_topology`] obtains it from any fitted
-//! [`Classifier`](hmd_ml::classifier::Classifier) in this workspace by
-//! downcasting.
+//! [`extract_topology`] obtains it from any fitted [`Classifier`] in this
+//! workspace by downcasting.
 //!
 //! # Examples
 //!

@@ -100,6 +100,31 @@ impl AdaBoost {
         }
     }
 
+    /// An ensemble of already-fitted `(base model, vote weight)` rounds in
+    /// boosting order, as a snapshot restores it. The seed is not part of a
+    /// snapshot, so a refit trains `rounds.len()` iterations from seed 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rounds` is empty.
+    pub(crate) fn from_rounds(
+        base: ClassifierKind,
+        rounds: Vec<(Box<dyn Classifier>, f64)>,
+        n_classes: usize,
+    ) -> AdaBoost {
+        assert!(!rounds.is_empty(), "need at least one boosting iteration");
+        AdaBoost {
+            base,
+            iterations: rounds.len(),
+            seed: 0,
+            rounds: rounds
+                .into_iter()
+                .map(|(model, weight)| Round { model, weight })
+                .collect(),
+            n_classes,
+        }
+    }
+
     /// The base classifier kind.
     pub fn base_kind(&self) -> ClassifierKind {
         self.base

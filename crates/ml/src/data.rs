@@ -556,33 +556,6 @@ impl Standardizer {
         );
     }
 
-    /// [`transform_row_into`](Self::transform_row_into) over a gathered
-    /// row: `get(j)` supplies feature `j` (e.g. a lane read out of a
-    /// column-major batch). Each element is the same `(v - mean) / std`
-    /// expression, so the result is bit-identical to transforming the
-    /// materialized row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_features` does not match the fitted width.
-    // hmd-analyze: hot-path
-    pub fn transform_gather_into(
-        &self,
-        get: impl Fn(usize) -> f64,
-        n_features: usize,
-        out: &mut Vec<f64>,
-    ) {
-        assert_eq!(n_features, self.means.len(), "feature length mismatch");
-        out.clear();
-        out.extend(
-            self.means
-                .iter()
-                .zip(&self.stds)
-                .enumerate()
-                .map(|(j, (m, s))| (get(j) - m) / s),
-        );
-    }
-
     /// Standardizes one feature's values across a contiguous column of
     /// lanes (the column-major form for batched kernels). Each element is
     /// the same `(v - mean) / std` expression as the row transforms —

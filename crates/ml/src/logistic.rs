@@ -92,11 +92,11 @@ impl Mlr {
         self.fitted.as_ref().map(|f| f.weights.as_slice())
     }
 
-    /// Fitted `(inputs, classes)` shape, if fitted.
+    /// Fitted `(inputs, classes)` shape, if fitted (and `None` for a
+    /// deserialized weight matrix too malformed to have one).
     pub fn shape(&self) -> Option<(usize, usize)> {
-        self.fitted
-            .as_ref()
-            .map(|f| (f.weights[0].len() - 1, f.weights.len()))
+        let f = self.fitted.as_ref()?;
+        Some((f.weights.first()?.len().checked_sub(1)?, f.weights.len()))
     }
 }
 
@@ -107,9 +107,12 @@ impl Default for Mlr {
 }
 
 /// Softmax over `logits` in place: max-shift for stability, then one
-/// left-to-right exponentiate-and-sum pass, then normalize. Both the
-/// gradient-descent loop and the predict path call this on reused buffers.
-fn softmax_in_place(logits: &mut [f64]) {
+/// left-to-right exponentiate-and-sum pass, then normalize. The training
+/// loops and predict paths of MLR and MLP call this on reused buffers;
+/// `#[inline]` lets MLP's per-sample training loop inline it across
+/// codegen units.
+#[inline]
+pub(crate) fn softmax_in_place(logits: &mut [f64]) {
     let m = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
     for l in logits.iter_mut() {
@@ -402,6 +405,11 @@ mod tests {
         m.fit(&data).unwrap();
         assert_eq!(m.predict(&[0.1]), 0);
         assert_eq!(m.predict(&[2.4]), 1);
+        assert_eq!(m.shape(), Some((1, 2)));
+        // A deserialized weight matrix with no rows has no shape rather
+        // than a panic: snapshot validation asks on untrusted input.
+        m.fitted.as_mut().unwrap().weights.clear();
+        assert_eq!(m.shape(), None);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use crate::classifier::{Classifier, TrainError};
 use crate::data::{Dataset, MinMaxScaler};
+use crate::logistic::softmax_in_place;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -117,31 +118,17 @@ impl Mlp {
         self.hidden.unwrap_or(((d + k) / 2).max(2))
     }
 
-    /// Fitted network topology `(inputs, hidden, outputs)`, if fitted.
+    /// Fitted network topology `(inputs, hidden, outputs)`, if fitted (and
+    /// `None` for deserialized weights too malformed to have one).
     pub fn topology(&self) -> Option<(usize, usize, usize)> {
-        self.fitted
-            .as_ref()
-            .map(|f| (f.w_hidden[0].len() - 1, f.w_hidden.len(), f.w_output.len()))
+        let f = self.fitted.as_ref()?;
+        let inputs = f.w_hidden.first()?.len().checked_sub(1)?;
+        Some((inputs, f.w_hidden.len(), f.w_output.len()))
     }
 }
 
 fn sigmoid(a: f64) -> f64 {
     1.0 / (1.0 + (-a).exp())
-}
-
-/// Softmax in place: max-shift for stability, then one left-to-right
-/// exponentiate-and-sum pass, then normalize. Both the training epoch loop
-/// and the predict path call this on reused buffers.
-fn softmax_in_place(logits: &mut [f64]) {
-    let m = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let mut sum = 0.0;
-    for l in logits.iter_mut() {
-        *l = (*l - m).exp();
-        sum += *l;
-    }
-    for l in logits.iter_mut() {
-        *l /= sum;
-    }
 }
 
 thread_local! {
@@ -370,6 +357,10 @@ mod tests {
         let mut net = Mlp::new(0).with_hidden(5).with_epochs(10);
         net.fit(&xor()).unwrap();
         assert_eq!(net.topology(), Some((2, 5, 2)));
+        // Deserialized weights with no hidden layer have no topology rather
+        // than a panic: snapshot validation asks on untrusted input.
+        net.fitted.as_mut().unwrap().w_hidden.clear();
+        assert_eq!(net.topology(), None);
     }
 
     #[test]

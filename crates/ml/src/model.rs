@@ -2,12 +2,13 @@
 //!
 //! Trained classifiers live behind `Box<dyn Classifier>` in the detection
 //! pipeline, which cannot be serialized directly. [`AnyModel`] is the
-//! closed serde-friendly sum of every model type in this crate — including
+//! closed serde image of every model type a detector holds — including
 //! boosted ensembles, stored as their base models plus vote weights — so a
 //! trained detector can be persisted and reloaded without retraining.
 //!
-//! [`AnyModel`] itself implements [`Classifier`], so a deserialized model
-//! drops back into any pipeline slot.
+//! [`AnyModel::into_classifier`] rebuilds the trained value itself (a
+//! [`J48`], an [`AdaBoost`], …), so a reloaded model scores, snapshots and
+//! costs exactly like the one that was captured.
 //!
 //! # Examples
 //!
@@ -23,31 +24,19 @@
 //! let mut tree = J48::new();
 //! tree.fit(&data)?;
 //! let stored = AnyModel::from_classifier(&tree).expect("known type");
-//! assert_eq!(stored.predict(&[0.95]), 1);
+//! let restored = stored.into_classifier();
+//! assert_eq!(restored.predict(&[0.95]), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::BatchScratch;
 use crate::boost::AdaBoost;
-use crate::classifier::{Classifier, TrainError};
-use crate::data::Dataset;
+use crate::classifier::{Classifier, ClassifierKind};
 use crate::logistic::Mlr;
 use crate::mlp::Mlp;
 use crate::oner::OneR;
 use crate::rules::JRip;
 use crate::tree::J48;
 use serde::{Deserialize, Serialize};
-
-thread_local! {
-    /// Reused base-model probability scratch for the allocation-free
-    /// `predict_proba_into` path of [`AnyModel::Boosted`].
-    static SNAPSHOT_MEMBER: std::cell::RefCell<Vec<f64>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-    /// Reused base-model batch probability matrix for the
-    /// `predict_proba_batch_into` path of [`AnyModel::Boosted`].
-    static SNAPSHOT_BATCH: std::cell::RefCell<Vec<f64>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
 
 /// A serializable snapshot of any fitted (or unfitted) model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,161 +98,105 @@ impl AnyModel {
         }
         None
     }
-}
 
-impl Classifier for AnyModel {
-    fn fit(&mut self, data: &Dataset) -> Result<(), TrainError> {
+    /// The stage-2 kind of a plain snapshot; `None` for MLR and ensembles.
+    fn kind(&self) -> Option<ClassifierKind> {
         match self {
-            AnyModel::J48(m) => m.fit(data),
-            AnyModel::JRip(m) => m.fit(data),
-            AnyModel::OneR(m) => m.fit(data),
-            AnyModel::Mlp(m) => m.fit(data),
-            AnyModel::Mlr(m) => m.fit(data),
-            AnyModel::Boosted { .. } => Err(TrainError::Unfittable(
-                "a deserialized ensemble snapshot is read-only; train a fresh AdaBoost instead"
-                    .into(),
-            )),
+            AnyModel::J48(_) => Some(ClassifierKind::J48),
+            AnyModel::JRip(_) => Some(ClassifierKind::JRip),
+            AnyModel::Mlp(_) => Some(ClassifierKind::Mlp),
+            AnyModel::OneR(_) => Some(ClassifierKind::OneR),
+            AnyModel::Mlr(_) | AnyModel::Boosted { .. } => None,
         }
     }
 
-    // hmd-analyze: hot-path
-    // hmd-analyze: allow(transitive-hot-path-alloc, "enum match dispatch: every arm calls its member's allocation-free predict_proba_into, but match-bound receivers resolve name-wide and reach KNN's per-query distance buffer, a model AnyModel cannot hold")
-    fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
-        match self {
-            AnyModel::J48(m) => m.predict_proba_into(x, out),
-            AnyModel::JRip(m) => m.predict_proba_into(x, out),
-            AnyModel::OneR(m) => m.predict_proba_into(x, out),
-            AnyModel::Mlp(m) => m.predict_proba_into(x, out),
-            AnyModel::Mlr(m) => m.predict_proba_into(x, out),
+    /// Checks that the snapshot rebuilds into a classifier that can score,
+    /// and returns its class count. The model must be fitted. An ensemble
+    /// needs at least one base, one weight per base, and bases that are
+    /// all of one stage-2 kind and of the ensemble's class count.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first rule the snapshot breaks.
+    pub fn validate(&self) -> Result<usize, String> {
+        let model: &dyn Classifier = match self {
+            AnyModel::J48(m) if m.node_count() > 0 => m,
+            AnyModel::JRip(m) if m.rule_count().is_some() => m,
+            AnyModel::OneR(m) if m.n_buckets().is_some() => m,
+            AnyModel::Mlp(m) if m.topology().is_some() => m,
+            AnyModel::Mlr(m) if m.shape().is_some() => m,
             AnyModel::Boosted {
                 bases,
                 weights,
                 n_classes,
             } => {
-                assert!(!bases.is_empty(), "ensemble snapshot has no bases");
-                assert_eq!(
-                    out.len(),
-                    *n_classes,
-                    "predict_proba_into: out has {} slots for {} classes",
-                    out.len(),
-                    n_classes
-                );
-                out.fill(0.0);
-                // Take the scratch out of the cell instead of borrowing so a
-                // (hand-built) nested Boosted base recurses safely; the
-                // steady-state path still reuses one buffer.
-                let mut buf = SNAPSHOT_MEMBER.take();
-                for (base, w) in bases.iter().zip(weights) {
-                    buf.resize(base.n_classes(), 0.0);
-                    base.predict_proba_into(x, &mut buf);
-                    // Same argmax tie-break as the default `predict`.
-                    out[crate::classifier::argmax(&buf)] += w;
+                let Some(kind) = bases.first().map(AnyModel::kind) else {
+                    return Err("ensemble has no bases".into());
+                };
+                if weights.len() != bases.len() {
+                    return Err(format!(
+                        "ensemble has {} bases but {} weights",
+                        bases.len(),
+                        weights.len()
+                    ));
                 }
-                SNAPSHOT_MEMBER.set(buf);
-                let total: f64 = out.iter().sum();
-                if total <= 0.0 {
-                    out.fill(1.0 / *n_classes as f64);
-                } else {
-                    for v in out.iter_mut() {
-                        *v /= total;
+                for base in bases {
+                    if kind.is_none() || base.kind() != kind {
+                        return Err("ensemble bases are not all one stage-2 kind".into());
+                    }
+                    if base.validate()? != *n_classes {
+                        return Err(format!(
+                            "an ensemble base does not have {n_classes} classes"
+                        ));
                     }
                 }
+                return Ok(*n_classes);
             }
-        }
+            _ => return Err("model is not fitted".into()),
+        };
+        Ok(model.n_classes())
     }
 
-    // Delegates to each variant's batched kernel; the Boosted arm mirrors
-    // the scalar round-major argmax-vote with a batch-wide base score per
-    // round, keeping every lane's operation sequence identical to scalar.
-    // hmd-analyze: hot-path
-    fn predict_proba_batch_into(&self, batch: &BatchScratch, out: &mut [f64]) {
+    /// Rebuilds the trained classifier this snapshot images: the [`J48`],
+    /// [`JRip`], [`OneR`], [`Mlp`] or [`Mlr`] value itself, or an
+    /// [`AdaBoost`] over the rebuilt bases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an ensemble has no bases or its first base is not a
+    /// stage-2 kind. [`validate`](Self::validate) rejects those and every
+    /// other damaged ensemble, so call it first on untrusted input.
+    pub fn into_classifier(self) -> Box<dyn Classifier> {
         match self {
-            AnyModel::J48(m) => m.predict_proba_batch_into(batch, out),
-            AnyModel::JRip(m) => m.predict_proba_batch_into(batch, out),
-            AnyModel::OneR(m) => m.predict_proba_batch_into(batch, out),
-            AnyModel::Mlp(m) => m.predict_proba_batch_into(batch, out),
-            AnyModel::Mlr(m) => m.predict_proba_batch_into(batch, out),
+            AnyModel::J48(m) => Box::new(m),
+            AnyModel::JRip(m) => Box::new(m),
+            AnyModel::OneR(m) => Box::new(m),
+            AnyModel::Mlp(m) => Box::new(m),
+            AnyModel::Mlr(m) => Box::new(m),
             AnyModel::Boosted {
                 bases,
                 weights,
                 n_classes,
             } => {
-                assert!(!bases.is_empty(), "ensemble snapshot has no bases");
-                let lanes = batch.n_lanes();
-                assert_eq!(
-                    out.len(),
-                    lanes * n_classes,
-                    "predict_proba_batch_into: out has {} slots for {} lanes × {} classes",
-                    out.len(),
-                    lanes,
-                    n_classes
-                );
-                out.fill(0.0);
-                // Take the scratch out of the cell instead of borrowing so a
-                // (hand-built) nested Boosted base recurses safely.
-                let mut buf = SNAPSHOT_BATCH.take();
-                for (base, w) in bases.iter().zip(weights) {
-                    let nc = base.n_classes();
-                    buf.clear();
-                    buf.resize(lanes * nc, 0.0);
-                    base.predict_proba_batch_into(batch, &mut buf);
-                    for (member_row, out_row) in
-                        buf.chunks_exact(nc).zip(out.chunks_exact_mut(*n_classes))
-                    {
-                        // Same argmax tie-break as the scalar path.
-                        out_row[crate::classifier::argmax(member_row)] += w;
-                    }
-                }
-                SNAPSHOT_BATCH.set(buf);
-                for out_row in out.chunks_exact_mut(*n_classes) {
-                    let total: f64 = out_row.iter().sum();
-                    if total <= 0.0 {
-                        out_row.fill(1.0 / *n_classes as f64);
-                    } else {
-                        for v in out_row.iter_mut() {
-                            *v /= total;
-                        }
-                    }
-                }
+                let base = bases
+                    .first()
+                    .and_then(AnyModel::kind)
+                    .expect("ensemble bases are J48, JRip, MLP or OneR");
+                let rounds = bases
+                    .into_iter()
+                    .map(AnyModel::into_classifier)
+                    .zip(weights)
+                    .collect();
+                Box::new(AdaBoost::from_rounds(base, rounds, n_classes))
             }
         }
-    }
-
-    fn n_classes(&self) -> usize {
-        match self {
-            AnyModel::J48(m) => m.n_classes(),
-            AnyModel::JRip(m) => m.n_classes(),
-            AnyModel::OneR(m) => m.n_classes(),
-            AnyModel::Mlp(m) => m.n_classes(),
-            AnyModel::Mlr(m) => m.n_classes(),
-            AnyModel::Boosted { n_classes, .. } => *n_classes,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            AnyModel::J48(_) => "J48",
-            AnyModel::JRip(_) => "JRip",
-            AnyModel::OneR(_) => "OneR",
-            AnyModel::Mlp(_) => "MLP",
-            AnyModel::Mlr(_) => "MLR",
-            AnyModel::Boosted { .. } => "AdaBoost",
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Classifier> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classifier::ClassifierKind;
+    use crate::data::Dataset;
 
     fn band() -> Dataset {
         let mut features = Vec::new();
@@ -283,10 +216,13 @@ mod tests {
             let mut model = kind.build(7);
             model.fit(&data).unwrap();
             let snapshot = AnyModel::from_classifier(model.as_ref()).expect("known kind");
-            assert_eq!(snapshot.name(), kind.name());
+            assert_eq!(snapshot.kind(), Some(kind));
+            assert_eq!(snapshot.validate(), Ok(2));
+            let restored = snapshot.into_classifier();
+            assert_eq!(restored.name(), kind.name());
             for i in 0..data.len() {
                 assert_eq!(
-                    snapshot.predict_proba(data.features_of(i)),
+                    restored.predict_proba(data.features_of(i)),
                     model.predict_proba(data.features_of(i)),
                     "{kind} snapshot diverged"
                 );
@@ -295,33 +231,63 @@ mod tests {
     }
 
     #[test]
-    fn boosted_snapshot_matches_live_ensemble() {
+    fn boosted_snapshot_restores_the_live_ensemble() {
         let data = band();
         let mut ens = AdaBoost::new(ClassifierKind::OneR, 5, 3);
         ens.fit(&data).unwrap();
         let snapshot = AnyModel::from_classifier(&ens).expect("ensemble snapshots");
+        assert_eq!(snapshot.validate(), Ok(2));
+        let restored = snapshot.clone().into_classifier();
+        let restored_ens = restored
+            .as_any()
+            .downcast_ref::<AdaBoost>()
+            .expect("restores an AdaBoost");
+        assert_eq!(restored_ens.base_kind(), ClassifierKind::OneR);
+        assert_eq!(restored_ens.ensemble_size(), ens.ensemble_size());
+        assert_eq!(AnyModel::from_classifier(restored.as_ref()), Some(snapshot));
         for i in 0..data.len() {
             assert_eq!(
-                snapshot.predict(data.features_of(i)),
-                ens.predict(data.features_of(i))
+                restored.predict_proba(data.features_of(i)),
+                ens.predict_proba(data.features_of(i))
             );
         }
-        assert_eq!(snapshot.name(), "AdaBoost");
     }
 
     #[test]
-    fn snapshot_is_refittable_except_ensembles() {
+    fn validate_rejects_unfitted_models_and_damaged_ensembles() {
         let data = band();
-        let mut snap = AnyModel::J48(J48::new());
-        snap.fit(&data).unwrap();
-        assert!(snap.predict(&[0.9, 0.0]) == 1);
-
-        let mut boosted = AnyModel::Boosted {
-            bases: vec![snap.clone()],
-            weights: vec![1.0],
-            n_classes: 2,
+        assert!(AnyModel::J48(crate::tree::J48::new()).validate().is_err());
+        let mut ens = AdaBoost::new(ClassifierKind::J48, 4, 1);
+        ens.fit(&data).unwrap();
+        let good = AnyModel::from_classifier(&ens).unwrap();
+        let AnyModel::Boosted { bases, weights, .. } = &good else {
+            panic!("an AdaBoost snapshots as Boosted");
         };
-        assert!(matches!(boosted.fit(&data), Err(TrainError::Unfittable(_))));
+        let damaged = [
+            AnyModel::Boosted {
+                bases: Vec::new(),
+                weights: Vec::new(),
+                n_classes: 2,
+            },
+            AnyModel::Boosted {
+                bases: bases.clone(),
+                weights: vec![1.0; weights.len() + 1],
+                n_classes: 2,
+            },
+            AnyModel::Boosted {
+                bases: vec![good.clone()],
+                weights: vec![1.0],
+                n_classes: 2,
+            },
+            AnyModel::Boosted {
+                bases: bases.clone(),
+                weights: weights.clone(),
+                n_classes: 3,
+            },
+        ];
+        for model in damaged {
+            assert!(model.validate().is_err(), "{model:?}");
+        }
     }
 
     #[test]
@@ -332,10 +298,11 @@ mod tests {
         let snapshot = AnyModel::from_classifier(&ens).unwrap();
         let json = serde_json::to_string(&snapshot).expect("serializes");
         let restored: AnyModel = serde_json::from_str(&json).expect("deserializes");
+        let restored = restored.into_classifier();
         for i in 0..data.len() {
             assert_eq!(
                 restored.predict_proba(data.features_of(i)),
-                snapshot.predict_proba(data.features_of(i))
+                ens.predict_proba(data.features_of(i))
             );
         }
     }

@@ -130,9 +130,16 @@ proptest! {
         assert_into_bit_identical(&boosted, &data, "AdaBoost");
         assert_batch_bit_identical(&boosted, &data, 9, "AdaBoost");
 
-        let snapshot = AnyModel::from_classifier(&boosted).expect("snapshots");
-        assert_into_bit_identical(&snapshot, &data, "AnyModel::Boosted");
-        assert_batch_bit_identical(&snapshot, &data, 9, "AnyModel::Boosted");
+        // The AdaBoost a snapshot restores scores as the live one does.
+        let restored = AnyModel::from_classifier(&boosted)
+            .expect("snapshots")
+            .into_classifier();
+        for i in 0..data.len() {
+            let x = data.features_of(i);
+            prop_assert_eq!(restored.predict_proba(x), boosted.predict_proba(x));
+        }
+        assert_into_bit_identical(restored.as_ref(), &data, "restored AdaBoost");
+        assert_batch_bit_identical(restored.as_ref(), &data, 9, "restored AdaBoost");
 
         let mut bagged = Bagging::new(ClassifierKind::J48, 5, seed);
         bagged.fit(&data).expect("fit succeeds");

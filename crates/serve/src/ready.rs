@@ -10,9 +10,10 @@
 //!
 //! The policy is exponential probe backoff: a connection that moved bytes
 //! is due again immediately; one that idles doubles its probe interval
-//! from [`Pacer::base`] up to [`Pacer::cap`]. A telemetry agent on the
-//! paper's 10 ms sampling cadence never decays past the first steps, while
-//! a silent connection settles at one cheap nonblocking probe per `cap` —
+//! from the pacer's `base` up to its `cap` (see [`Pacer::new`]). A
+//! telemetry agent on the paper's 10 ms sampling cadence never decays past
+//! the first steps, while a silent connection settles at one cheap
+//! nonblocking probe per `cap` —
 //! so idle connections cost `O(1/cap)` syscalls per second instead of a
 //! busy loop, and the worker parks on its inbox condvar in between.
 //!

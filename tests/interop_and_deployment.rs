@@ -4,10 +4,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use twosmart_suite::hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
+use twosmart_suite::hpc_sim::corpus::{Corpus, CorpusBuilder, CorpusSpec};
 use twosmart_suite::hpc_sim::io::corpus_to_csv;
 use twosmart_suite::hpc_sim::perf::PerfSession;
 use twosmart_suite::hpc_sim::workload::{AppClass, WorkloadSpec};
+use twosmart_suite::hwmodel::topology::extract_topology;
 use twosmart_suite::ml::classifier::ClassifierKind;
 use twosmart_suite::ml::io::dataset_from_csv;
 use twosmart_suite::twosmart::detector::TwoSmartDetector;
@@ -15,7 +16,7 @@ use twosmart_suite::twosmart::online::OnlineDetector;
 use twosmart_suite::twosmart::persist::DetectorSnapshot;
 use twosmart_suite::twosmart::pipeline::full_dataset;
 
-fn corpus() -> twosmart_suite::hpc_sim::corpus::Corpus {
+fn corpus() -> Corpus {
     CorpusBuilder::new(CorpusSpec::tiny()).build()
 }
 
@@ -61,6 +62,55 @@ fn snapshot_file_round_trip_via_json() {
         .restore();
     for r in corpus.records() {
         assert_eq!(restored.detect(&r.features), detector.detect(&r.features));
+    }
+}
+
+/// A tiny detector with one specialist of each stage-2 kind.
+fn one_of_each_kind(corpus: &Corpus, boosted: bool) -> TwoSmartDetector {
+    AppClass::MALWARE
+        .iter()
+        .zip(ClassifierKind::ALL)
+        .fold(
+            TwoSmartDetector::builder().seed(3).boosted(boosted),
+            |b, (&c, kind)| b.classifier_for(c, kind),
+        )
+        .train(corpus)
+        .expect("detector trains")
+}
+
+#[test]
+fn restored_detector_captures_back_to_its_snapshot() {
+    let corpus = corpus();
+    for boosted in [false, true] {
+        let snapshot =
+            DetectorSnapshot::capture(&one_of_each_kind(&corpus, boosted)).expect("snapshots");
+        let restored = snapshot.try_restore().expect("restores");
+        let recaptured = DetectorSnapshot::capture(&restored).expect("restored detector snapshots");
+        assert!(recaptured == snapshot, "boosted={boosted}");
+    }
+}
+
+#[test]
+fn restored_specialists_keep_their_hardware_topology() {
+    let corpus = corpus();
+    for boosted in [false, true] {
+        let live = one_of_each_kind(&corpus, boosted);
+        let restored = DetectorSnapshot::capture(&live)
+            .expect("snapshots")
+            .try_restore()
+            .expect("restores");
+        for class in AppClass::MALWARE {
+            let expected = extract_topology(live.stage2(class).model());
+            assert!(
+                expected.is_some(),
+                "{class}: live specialist has a topology"
+            );
+            assert_eq!(
+                extract_topology(restored.stage2(class).model()),
+                expected,
+                "{class}, boosted={boosted}"
+            );
+        }
     }
 }
 

@@ -62,7 +62,7 @@ proptest! {
         )
         .expect("stage 1 trains");
         for record in corpus.records() {
-            let p = stage1.predict_proba(&record.features);
+            let p = stage1.class_probabilities(&record.features);
             prop_assert_eq!(p.len(), 5);
             prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-6);
             prop_assert!(p.iter().all(|v| (0.0..=1.0).contains(v)));
