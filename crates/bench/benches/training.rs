@@ -1,8 +1,9 @@
-//! Training-path benchmarks: single J48 fit, ensemble fits, one grid cell.
+//! Training-path benchmarks: single J48 fit, ensemble fits, grid cells.
 //!
-//! These are the workloads the presorted-column training engine targets:
-//! one J48 costs O(nodes × attrs × n log n) in per-node sorts on the naive
-//! path, and Bagging/AdaBoost re-pay it per member. Results are recorded in
+//! The J48 rows are the workloads the presorted-column training engine
+//! targets: one J48 costs O(nodes × attrs × n log n) in per-node sorts on
+//! the naive path, and Bagging/AdaBoost re-pay it per member. The MLP rows
+//! time the grid's most expensive cells. Results are recorded in
 //! `BENCH_training.json`.
 //!
 //! The dataset is the paper-scale Virus-vs-benign problem (the largest
@@ -120,6 +121,36 @@ fn training_benches(c: &mut Criterion) {
             det.events().len()
         })
     });
+
+    // The MLP cells that own most of a grid's training time: 500 epochs
+    // of SGD on the 16-HPC shape, and AdaBoost's 10 fits on the 4-HPC one.
+    // Both shapes take a literal arm of `Mlp::fit`'s epoch loop.
+    for (name, config) in [
+        (
+            "grid_cell_mlp_hpc16_cached",
+            Stage2Config::new(ClassifierKind::Mlp).with_hpcs(16),
+        ),
+        (
+            "grid_cell_mlp_hpc4_boosted_cached",
+            Stage2Config::new(ClassifierKind::Mlp)
+                .with_hpcs(4)
+                .with_boosting(true),
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let det = SpecializedDetector::train_cached(
+                    black_box(&bin),
+                    &cols,
+                    AppClass::Virus,
+                    &config,
+                    exp.seed,
+                )
+                .expect("detector trains");
+                det.events().len()
+            })
+        });
+    }
 
     group.finish();
 }

@@ -189,8 +189,9 @@ impl DetectorSnapshot {
     ///   `(stage1_events.len(), 5)`;
     /// - a missing, duplicate or benign specialist;
     /// - a specialist threshold outside `[0, 1]`;
-    /// - a specialist model that is unfitted, not binary, or a damaged
-    ///   ensemble (see [`AnyModel::validate`]).
+    /// - a specialist model that is unfitted, not binary, reads a feature
+    ///   its event list does not supply, has ragged or non-finite MLP
+    ///   weights, or is a damaged ensemble (see [`AnyModel::validate`]).
     pub fn validate(&self) -> Result<(), PersistError> {
         let invalid = |what: String| Err(PersistError::Invalid(what));
         let n = self.stage1_events.len();
@@ -232,7 +233,7 @@ impl DetectorSnapshot {
                     s.threshold
                 ));
             }
-            match s.model.validate() {
+            match s.model.validate(n) {
                 Ok(2) => {}
                 Ok(k) => return invalid(format!("{class} specialist has {k} classes, not 2")),
                 Err(why) => return invalid(format!("{class} specialist: {why}")),
@@ -283,12 +284,19 @@ mod tests {
     use hmd_ml::tree::J48;
 
     fn trained(boosted: bool) -> (TwoSmartDetector, hmd_hpc_sim::corpus::Corpus) {
+        trained_with(ClassifierKind::J48, boosted)
+    }
+
+    fn trained_with(
+        kind: ClassifierKind,
+        boosted: bool,
+    ) -> (TwoSmartDetector, hmd_hpc_sim::corpus::Corpus) {
         let corpus = CorpusBuilder::new(CorpusSpec::tiny()).build();
         let det = AppClass::MALWARE
             .iter()
             .fold(
                 TwoSmartDetector::builder().seed(6).boosted(boosted),
-                |b, &c| b.classifier_for(c, ClassifierKind::J48),
+                |b, &c| b.classifier_for(c, kind),
             )
             .train(&corpus)
             .expect("detector trains");
@@ -419,6 +427,37 @@ mod tests {
                 n_classes: 2,
             };
             assert!(matches!(damaged.validate(), Err(PersistError::Invalid(_))));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_specialists_that_read_past_their_events() {
+        // Each specialist keeps 1 of its 4 events. Unchecked, the J48
+        // snapshot restores and its first malware-routed `detect` panics
+        // indexing the projected row; an MLP specialist panics the same
+        // way in its scaler.
+        let snapshots = [
+            (ClassifierKind::J48, false),
+            (ClassifierKind::J48, true),
+            (ClassifierKind::Mlp, false),
+        ]
+        .map(|(kind, boosted)| DetectorSnapshot::capture(&trained_with(kind, boosted).0).unwrap());
+        // The plain J48 trees test a later event, so scoring would trip.
+        assert!(snapshots[0].stage2.iter().any(|s| matches!(
+            &s.model,
+            AnyModel::J48(tree) if tree.max_attribute() > Some(0)
+        )));
+        for good in snapshots {
+            assert!(good.validate().is_ok());
+            let mut damaged = good.clone();
+            for s in &mut damaged.stage2 {
+                s.events.truncate(1);
+            }
+            assert!(matches!(damaged.validate(), Err(PersistError::Invalid(_))));
+            assert!(matches!(
+                damaged.try_restore(),
+                Err(PersistError::Invalid(_))
+            ));
         }
     }
 

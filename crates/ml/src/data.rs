@@ -630,6 +630,12 @@ impl MinMaxScaler {
         MinMaxScaler { mins, ranges }
     }
 
+    /// The number of features the scaler takes; `None` if its minima and
+    /// ranges differ in length, which only a damaged snapshot produces.
+    pub(crate) fn width(&self) -> Option<usize> {
+        (self.mins.len() == self.ranges.len()).then_some(self.mins.len())
+    }
+
     /// Scales one feature row into `[-1, 1]` (values outside the training
     /// range extrapolate beyond it, as WEKA's filter does).
     ///

@@ -110,21 +110,45 @@ impl AnyModel {
         }
     }
 
-    /// Checks that the snapshot rebuilds into a classifier that can score,
-    /// and returns its class count. The model must be fitted. An ensemble
-    /// needs at least one base, one weight per base, and bases that are
-    /// all of one stage-2 kind and of the ensemble's class count.
+    /// Checks that the snapshot rebuilds into a classifier that can score
+    /// rows of `inputs` features, and returns its class count.
+    ///
+    /// The model must be fitted. A tree, rule list or one-rule model may
+    /// only test features below `inputs`. An MLP or MLR must take exactly
+    /// `inputs` features, and an MLP's weight rows must be rectangular,
+    /// its scaler as wide as its input and its weights finite. An
+    /// ensemble needs at least one base, one weight per base, and bases
+    /// that each pass these checks and are all of one stage-2 kind and of
+    /// the ensemble's class count.
     ///
     /// # Errors
     ///
     /// A description of the first rule the snapshot breaks.
-    pub fn validate(&self) -> Result<usize, String> {
+    pub fn validate(&self, inputs: usize) -> Result<usize, String> {
         let model: &dyn Classifier = match self {
-            AnyModel::J48(m) if m.node_count() > 0 => m,
-            AnyModel::JRip(m) if m.rule_count().is_some() => m,
-            AnyModel::OneR(m) if m.n_buckets().is_some() => m,
-            AnyModel::Mlp(m) if m.topology().is_some() => m,
-            AnyModel::Mlr(m) if m.shape().is_some() => m,
+            AnyModel::J48(m) if m.node_count() > 0 => {
+                reads_within(m.max_attribute(), inputs)?;
+                m
+            }
+            AnyModel::JRip(m) if m.rule_count().is_some() => {
+                reads_within(m.max_attribute(), inputs)?;
+                m
+            }
+            AnyModel::OneR(m) if m.n_buckets().is_some() => {
+                reads_within(m.chosen_attribute(), inputs)?;
+                m
+            }
+            AnyModel::Mlp(m) => {
+                takes_exactly(m.checked_topology()?.0, inputs)?;
+                m
+            }
+            AnyModel::Mlr(m) => match m.shape() {
+                Some((width, _)) => {
+                    takes_exactly(width, inputs)?;
+                    m
+                }
+                None => return Err("model is not fitted".into()),
+            },
             AnyModel::Boosted {
                 bases,
                 weights,
@@ -144,7 +168,7 @@ impl AnyModel {
                     if kind.is_none() || base.kind() != kind {
                         return Err("ensemble bases are not all one stage-2 kind".into());
                     }
-                    if base.validate()? != *n_classes {
+                    if base.validate(inputs)? != *n_classes {
                         return Err(format!(
                             "an ensemble base does not have {n_classes} classes"
                         ));
@@ -193,6 +217,27 @@ impl AnyModel {
     }
 }
 
+/// Rejects a model that tests feature `attribute` of a row of `inputs`.
+fn reads_within(attribute: Option<usize>, inputs: usize) -> Result<(), String> {
+    match attribute {
+        Some(a) if a >= inputs => Err(format!(
+            "model reads feature {a} but its rows have {inputs} features"
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Rejects a model that takes `width` features for rows of `inputs`.
+fn takes_exactly(width: usize, inputs: usize) -> Result<(), String> {
+    if width == inputs {
+        Ok(())
+    } else {
+        Err(format!(
+            "model takes {width} features but its rows have {inputs}"
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,7 +262,7 @@ mod tests {
             model.fit(&data).unwrap();
             let snapshot = AnyModel::from_classifier(model.as_ref()).expect("known kind");
             assert_eq!(snapshot.kind(), Some(kind));
-            assert_eq!(snapshot.validate(), Ok(2));
+            assert_eq!(snapshot.validate(2), Ok(2));
             let restored = snapshot.into_classifier();
             assert_eq!(restored.name(), kind.name());
             for i in 0..data.len() {
@@ -236,7 +281,7 @@ mod tests {
         let mut ens = AdaBoost::new(ClassifierKind::OneR, 5, 3);
         ens.fit(&data).unwrap();
         let snapshot = AnyModel::from_classifier(&ens).expect("ensemble snapshots");
-        assert_eq!(snapshot.validate(), Ok(2));
+        assert_eq!(snapshot.validate(2), Ok(2));
         let restored = snapshot.clone().into_classifier();
         let restored_ens = restored
             .as_any()
@@ -256,7 +301,7 @@ mod tests {
     #[test]
     fn validate_rejects_unfitted_models_and_damaged_ensembles() {
         let data = band();
-        assert!(AnyModel::J48(crate::tree::J48::new()).validate().is_err());
+        assert!(AnyModel::J48(crate::tree::J48::new()).validate(2).is_err());
         let mut ens = AdaBoost::new(ClassifierKind::J48, 4, 1);
         ens.fit(&data).unwrap();
         let good = AnyModel::from_classifier(&ens).unwrap();
@@ -286,7 +331,79 @@ mod tests {
             },
         ];
         for model in damaged {
-            assert!(model.validate().is_err(), "{model:?}");
+            assert!(model.validate(2).is_err(), "{model:?}");
+        }
+    }
+
+    /// Three features, of which only the last separates the classes.
+    fn last_feature_decides() -> Dataset {
+        let features = (0..40).map(|i| vec![0.0, 1.0, f64::from(i)]).collect();
+        let labels = (0..40).map(|i| usize::from(i >= 20)).collect();
+        Dataset::new(features, labels, 2).unwrap()
+    }
+
+    #[test]
+    fn validate_rejects_models_that_read_past_the_row() {
+        let data = last_feature_decides();
+        let mut mlr = Mlr::new();
+        mlr.fit(&data).unwrap();
+        let mut ens = AdaBoost::new(ClassifierKind::J48, 3, 1);
+        ens.fit(&data).unwrap();
+        let mut snapshots = vec![AnyModel::Mlr(mlr), AnyModel::from_classifier(&ens).unwrap()];
+        for kind in ClassifierKind::ALL {
+            let mut model = kind.build(7);
+            model.fit(&data).unwrap();
+            snapshots.push(AnyModel::from_classifier(model.as_ref()).unwrap());
+        }
+        for snapshot in snapshots {
+            assert_eq!(snapshot.validate(3), Ok(2), "{snapshot:?}");
+            // A tree, rule list or one-rule model reads feature 2; an MLP
+            // or MLR takes exactly three.
+            assert!(snapshot.validate(2).is_err(), "{snapshot:?}");
+        }
+        // An MLP takes exactly its width, so a wider row fails too.
+        let mut mlp = Mlp::new(1).with_epochs(5);
+        mlp.fit(&data).unwrap();
+        assert!(AnyModel::Mlp(mlp).validate(4).is_err());
+    }
+
+    /// `model` rebuilt from its JSON after `edit`: the damage an edited
+    /// snapshot file carries.
+    fn edited(model: &AnyModel, edit: impl Fn(&mut String)) -> AnyModel {
+        let mut json = serde_json::to_string(model).unwrap();
+        let before = json.clone();
+        edit(&mut json);
+        assert_ne!(json, before, "the edit changed nothing");
+        serde_json::from_str(&json).expect("the edited snapshot parses")
+    }
+
+    #[test]
+    fn validate_rejects_ragged_or_non_finite_mlp_weights() {
+        let data = band();
+        let mut mlp = Mlp::new(7).with_epochs(20);
+        mlp.fit(&data).unwrap();
+        let good = AnyModel::Mlp(mlp);
+        assert_eq!(good.validate(2), Ok(2));
+        let prepend = |key: &'static str, value: &'static str| {
+            move |json: &mut String| {
+                let at = json.find(key).expect("key present") + key.len();
+                json.insert_str(at, value);
+            }
+        };
+        // A hidden row one weight too long.
+        let long_hidden = edited(&good, prepend("\"w_hidden\":[[", "0.5,"));
+        // An output row one weight too long.
+        let long_output = edited(&good, prepend("\"w_output\":[[", "0.5,"));
+        // One more scaler range than minima.
+        let ragged_scaler = edited(&good, prepend("\"ranges\":[", "1.0,"));
+        // A weight saved as `null`, which reads back as NaN.
+        let nan_weight = edited(&good, |json| {
+            let at = json.find("\"w_output\":[[").unwrap() + "\"w_output\":[[".len();
+            let end = at + json[at..].find(',').unwrap();
+            json.replace_range(at..end, "null");
+        });
+        for damaged in [long_hidden, long_output, ragged_scaler, nan_weight] {
+            assert!(damaged.validate(2).is_err(), "{damaged:?}");
         }
     }
 

@@ -165,6 +165,19 @@ impl JRip {
         self.fitted.as_ref().map(|f| f.rules.as_slice())
     }
 
+    /// The highest attribute index a condition of the fitted rules tests
+    /// (`None` if unfitted or condition-free): a row needs more features
+    /// than this to be scored.
+    pub(crate) fn max_attribute(&self) -> Option<usize> {
+        self.rules()?
+            .iter()
+            .flat_map(|r| &r.conditions)
+            .map(|c| match *c {
+                Condition::Le { attr, .. } | Condition::Ge { attr, .. } => attr,
+            })
+            .max()
+    }
+
     /// Longest antecedent among the fitted rules (0 for a rule-free model),
     /// if fitted.
     pub fn max_rule_conditions(&self) -> Option<usize> {

@@ -68,6 +68,20 @@ impl Node {
         }
     }
 
+    fn max_attribute(&self) -> Option<usize> {
+        match self {
+            Node::Leaf { .. } => None,
+            Node::Split {
+                attribute,
+                left,
+                right,
+                ..
+            } => Some(*attribute)
+                .max(left.max_attribute())
+                .max(right.max_attribute()),
+        }
+    }
+
     fn leaf_counts(&self) -> Vec<f64> {
         let mut totals = Vec::new();
         self.accumulate_leaf_counts(&mut totals);
@@ -423,6 +437,13 @@ impl J48 {
     /// Depth of the fitted tree (0 if unfitted; a lone leaf has depth 1).
     pub fn depth(&self) -> usize {
         self.root.as_ref().map_or(0, Node::depth)
+    }
+
+    /// The highest attribute index a split of the fitted tree tests
+    /// (`None` if unfitted or a lone leaf): a row needs more features than
+    /// this to be scored.
+    pub fn max_attribute(&self) -> Option<usize> {
+        self.root.as_ref().and_then(Node::max_attribute)
     }
 
     /// Renders the fitted tree as indented text, WEKA-style, using
