@@ -3,7 +3,8 @@
 //! The J48 rows are the workloads the presorted-column training engine
 //! targets: one J48 costs O(nodes × attrs × n log n) in per-node sorts on
 //! the naive path, and Bagging/AdaBoost re-pay it per member. The MLP rows
-//! time the grid's most expensive cells. Results are recorded in
+//! time the grid's most expensive cells, and the JRip rows the same two
+//! cell configurations for RIPPER. Results are recorded in
 //! `BENCH_training.json`.
 //!
 //! The dataset is the paper-scale Virus-vs-benign problem (the largest
@@ -124,7 +125,9 @@ fn training_benches(c: &mut Criterion) {
 
     // The MLP cells that own most of a grid's training time: 500 epochs
     // of SGD on the 16-HPC shape, and AdaBoost's 10 fits on the 4-HPC one.
-    // Both shapes take a literal arm of `Mlp::fit`'s epoch loop.
+    // Both shapes take a literal arm of `Mlp::fit`'s epoch loop. The JRip
+    // cells at the same two configurations time RIPPER's counted grow
+    // steps, plain and over AdaBoost's resamples.
     for (name, config) in [
         (
             "grid_cell_mlp_hpc16_cached",
@@ -133,6 +136,16 @@ fn training_benches(c: &mut Criterion) {
         (
             "grid_cell_mlp_hpc4_boosted_cached",
             Stage2Config::new(ClassifierKind::Mlp)
+                .with_hpcs(4)
+                .with_boosting(true),
+        ),
+        (
+            "grid_cell_jrip_hpc16_cached",
+            Stage2Config::new(ClassifierKind::JRip).with_hpcs(16),
+        ),
+        (
+            "grid_cell_jrip_hpc4_boosted_cached",
+            Stage2Config::new(ClassifierKind::JRip)
                 .with_hpcs(4)
                 .with_boosting(true),
         ),

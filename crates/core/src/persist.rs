@@ -462,6 +462,26 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_a_jrip_rule_for_a_missing_class() {
+        // A rule edited to class 7 of 2 reads within its events, so only a
+        // class check stops it; unchecked, the first row it matches panics
+        // indexing the specialist's probability row.
+        let good = DetectorSnapshot::capture(&trained_with(ClassifierKind::JRip, false).0).unwrap();
+        assert!(good.validate().is_ok());
+        let json = serde_json::to_string(&good.stage2[0].model).unwrap();
+        let at = json.find("\"class\":").expect("the specialist has a rule") + "\"class\":".len();
+        let end = at + json[at..].find(',').unwrap();
+        let mut damaged = good.clone();
+        damaged.stage2[0].model =
+            serde_json::from_str(&format!("{}7{}", &json[..at], &json[end..])).unwrap();
+        assert!(matches!(damaged.validate(), Err(PersistError::Invalid(_))));
+        assert!(matches!(
+            damaged.try_restore(),
+            Err(PersistError::Invalid(_))
+        ));
+    }
+
+    #[test]
     fn snapshot_is_structurally_complete() {
         let (det, _) = trained(false);
         let snapshot = DetectorSnapshot::capture(&det).unwrap();

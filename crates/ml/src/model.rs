@@ -114,12 +114,13 @@ impl AnyModel {
     /// rows of `inputs` features, and returns its class count.
     ///
     /// The model must be fitted. A tree, rule list or one-rule model may
-    /// only test features below `inputs`. An MLP or MLR must take exactly
-    /// `inputs` features, and an MLP's weight rows must be rectangular,
-    /// its scaler as wide as its input and its weights finite. An
-    /// ensemble needs at least one base, one weight per base, and bases
-    /// that each pass these checks and are all of one stage-2 kind and of
-    /// the ensemble's class count.
+    /// only test features below `inputs`, and a rule list may only assign
+    /// its own classes, with confidences in `[0, 1]`. An MLP or MLR must
+    /// take exactly `inputs` features, and an MLP's weight rows must be
+    /// rectangular, its scaler as wide as its input and its weights
+    /// finite. An ensemble needs at least one base, one weight per base,
+    /// and bases that each pass these checks and are all of one stage-2
+    /// kind and of the ensemble's class count.
     ///
     /// # Errors
     ///
@@ -130,8 +131,8 @@ impl AnyModel {
                 reads_within(m.max_attribute(), inputs)?;
                 m
             }
-            AnyModel::JRip(m) if m.rule_count().is_some() => {
-                reads_within(m.max_attribute(), inputs)?;
+            AnyModel::JRip(m) => {
+                reads_within(m.checked_max_attribute()?, inputs)?;
                 m
             }
             AnyModel::OneR(m) if m.n_buckets().is_some() => {
@@ -404,6 +405,38 @@ mod tests {
         });
         for damaged in [long_hidden, long_output, ragged_scaler, nan_weight] {
             assert!(damaged.validate(2).is_err(), "{damaged:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_jrip_classes_and_confidences() {
+        let mut jrip = JRip::new(7);
+        jrip.fit(&band()).unwrap();
+        assert!(jrip.rule_count() > Some(0));
+        let good = AnyModel::JRip(jrip);
+        assert_eq!(good.validate(2), Ok(2));
+        // Replaces the first value of `key` with `value`.
+        let set = |key: &'static str, value: &'static str| {
+            move |json: &mut String| {
+                let at = json.find(key).expect("key present") + key.len();
+                let end = at + json[at..].find([',', '}']).unwrap();
+                json.replace_range(at..end, value);
+            }
+        };
+        // A rule's class indexes the probability row, so 7 of 2 panics on
+        // the first row the rule matches; so would a default class of 7.
+        // A confidence of 2.5 scores [2.5, -1.5], and `null` reads back
+        // as NaN.
+        let damaged = [
+            edited(&good, set("\"class\":", "7")),
+            edited(&good, set("\"default_class\":", "7")),
+            edited(&good, set("\"confidence\":", "2.5")),
+            edited(&good, set("\"confidence\":", "null")),
+            edited(&good, set("\"default_confidence\":", "-0.5")),
+            edited(&good, set("\"default_confidence\":", "null")),
+        ];
+        for model in damaged {
+            assert!(model.validate(2).is_err(), "{model:?}");
         }
     }
 

@@ -166,16 +166,35 @@ impl JRip {
     }
 
     /// The highest attribute index a condition of the fitted rules tests
-    /// (`None` if unfitted or condition-free): a row needs more features
-    /// than this to be scored.
-    pub(crate) fn max_attribute(&self) -> Option<usize> {
-        self.rules()?
+    /// (`None` if condition-free), once the model is known to score
+    /// safely: every rule's class and the default class are below its
+    /// class count, and every confidence lies in `[0, 1]`. A row needs
+    /// more features than the returned index to be scored.
+    pub(crate) fn checked_max_attribute(&self) -> Result<Option<usize>, String> {
+        let f = self.fitted.as_ref().ok_or("JRip is not fitted")?;
+        let outcomes = f
+            .rules
+            .iter()
+            .map(|r| (r.class, r.confidence))
+            .chain([(f.default_class, f.default_confidence)]);
+        for (class, confidence) in outcomes {
+            if class >= f.n_classes {
+                return Err(format!(
+                    "JRip assigns class {class} but has {} classes",
+                    f.n_classes
+                ));
+            }
+            if !(0.0..=1.0).contains(&confidence) {
+                return Err(format!("JRip confidence {confidence} is outside [0, 1]"));
+            }
+        }
+        Ok(f.rules
             .iter()
             .flat_map(|r| &r.conditions)
             .map(|c| match *c {
                 Condition::Le { attr, .. } | Condition::Ge { attr, .. } => attr,
             })
-            .max()
+            .max())
     }
 
     /// Longest antecedent among the fitted rules (0 for a rule-free model),
@@ -192,14 +211,25 @@ impl JRip {
 
     /// Grows one rule for `class` on the grow set by FOIL gain.
     ///
-    /// With a [`SortedColumns`] cache, the per-attribute candidate list
-    /// (ascending distinct values of the covered rows) comes from one
-    /// filtered walk of the presorted order instead of a sort per candidate
-    /// condition. The walk produces the exact list `sort` + `dedup` would
-    /// (the only ambiguity, which of `-0.0`/`0.0` survives dedup, cannot
-    /// change any midpoint bitwise), so grown rules are identical either
-    /// way. For small covered sets a sort is cheaper than an O(n) walk, so
-    /// the cache is consulted only while the covered set stays large.
+    /// Each grow step makes one counted pass per attribute ([`CutCounts`]):
+    /// it lists the ascending distinct values of the covered rows, counts
+    /// the positives and negatives at each and prefix-sums them. A
+    /// candidate `f <= t` covers the values before
+    /// `partition_point(v <= t)` and `f >= t` those from
+    /// `partition_point(v < t)` on, so a candidate costs two binary
+    /// searches, not a rescan of the covered rows, and a midpoint that
+    /// rounds onto an endpoint counts the endpoint as a rescan would. The
+    /// counts are small integers, exact in `f64`; candidate order, stride,
+    /// gain and tie-break are the rescan's, so the grown rules are
+    /// bit-identical to it (`grow_rule_reference` in the tests).
+    ///
+    /// With a [`SortedColumns`] cache the distinct values come from one
+    /// filtered walk of the presorted order; without one, from a sort of
+    /// the covered rows. Both yield the same list (the only ambiguity,
+    /// which of `-0.0`/`0.0` comes first, cannot change any midpoint
+    /// bitwise or any count), so grown rules are identical either way. For
+    /// small covered sets a sort is cheaper than an O(n) walk, so the cache
+    /// is consulted only while the covered set stays large.
     fn grow_rule(
         &self,
         data: &Dataset,
@@ -210,7 +240,8 @@ impl JRip {
         let mut conditions: Vec<Condition> = Vec::new();
         let mut covered: Vec<usize> = grow.to_vec();
         let mut in_covered = vec![false; if cols.is_some() { data.len() } else { 0 }];
-        let mut values: Vec<f64> = Vec::new();
+        let mut sorted: Vec<(f64, bool)> = Vec::new();
+        let mut cuts = CutCounts::default();
         while conditions.len() < self.max_conditions {
             let p0 = covered
                 .iter()
@@ -233,26 +264,29 @@ impl JRip {
             }
             let mut best: Option<(f64, Condition)> = None;
             for attr in 0..data.n_features() {
-                values.clear();
                 match cache {
                     Some(cols) => {
-                        for &r in cols.order(attr) {
-                            let i = r as usize;
-                            if !in_covered[i] {
-                                continue;
-                            }
-                            let v = data.features_of(i)[attr];
-                            if values.last() != Some(&v) {
-                                values.push(v);
-                            }
-                        }
+                        let column = cols.column(attr);
+                        cuts.tally(
+                            cols.order(attr)
+                                .iter()
+                                .map(|&r| r as usize)
+                                .filter(|&i| in_covered[i])
+                                .map(|i| (column[i], data.label_of(i) == class)),
+                        );
                     }
                     None => {
-                        values.extend(covered.iter().map(|&i| data.features_of(i)[attr]));
-                        values.sort_by(|a, b| a.partial_cmp(b).expect("finite features"));
-                        values.dedup();
+                        sorted.clear();
+                        sorted.extend(
+                            covered
+                                .iter()
+                                .map(|&i| (data.features_of(i)[attr], data.label_of(i) == class)),
+                        );
+                        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+                        cuts.tally(sorted.iter().copied());
                     }
                 }
+                let values = &cuts.values;
                 if values.len() < 2 {
                     continue;
                 }
@@ -260,27 +294,23 @@ impl JRip {
                 let stride = (values.len() / 24).max(1);
                 for w in values.windows(2).step_by(stride) {
                     let threshold = (w[0] + w[1]) / 2.0;
-                    for cond in [
-                        Condition::Le {
-                            attr,
-                            value: threshold,
-                        },
-                        Condition::Ge {
-                            attr,
-                            value: threshold,
-                        },
+                    let [le, ge] = cuts.covered_by(threshold);
+                    for (cond, (p, n)) in [
+                        (
+                            Condition::Le {
+                                attr,
+                                value: threshold,
+                            },
+                            le,
+                        ),
+                        (
+                            Condition::Ge {
+                                attr,
+                                value: threshold,
+                            },
+                            ge,
+                        ),
                     ] {
-                        let mut p = 0.0f64;
-                        let mut n = 0.0f64;
-                        for &i in &covered {
-                            if cond.matches(data.features_of(i)) {
-                                if data.label_of(i) == class {
-                                    p += 1.0;
-                                } else {
-                                    n += 1.0;
-                                }
-                            }
-                        }
                         if p == 0.0 {
                             continue;
                         }
@@ -493,9 +523,11 @@ impl JRip {
     /// Fits against a shared [`SortedColumns`] cache.
     ///
     /// Produces the exact rule set [`fit`](Classifier::fit) (and
-    /// [`fit_naive`](Self::fit_naive)) would: the cache only changes how
-    /// each grow step enumerates its candidate cut points, not which
-    /// candidates exist. Unlike `J48::fit_presorted` there is no
+    /// [`fit_naive`](Self::fit_naive)) would: while a grow step's covered
+    /// set is large, its counted pass per attribute walks the cache's
+    /// presorted order instead of sorting the covered rows. That changes
+    /// how the distinct values are enumerated, not which candidates exist
+    /// or how they are counted. Unlike `J48::fit_presorted` there is no
     /// multiplicity parameter — RIPPER's seeded grow/prune shuffles operate
     /// on concrete row indices, so bootstrapped JRip members still
     /// materialize their sample.
@@ -521,8 +553,11 @@ impl JRip {
         self.fit_impl(data, Some(cols))
     }
 
-    /// The original training path (per-condition value sorts), kept as the
-    /// oracle for the cut-point-cache bit-identity tests.
+    /// Fits without a [`SortedColumns`] cache: every grow step's counted
+    /// pass sorts the covered rows of each attribute. It differs from
+    /// [`fit_cached`](Self::fit_cached) only in how it enumerates those
+    /// values, and is kept as the oracle of the walk-against-sort
+    /// bit-identity tests.
     ///
     /// # Errors
     ///
@@ -570,10 +605,51 @@ impl JRip {
     }
 }
 
+/// One attribute's covered rows, counted for a grow step: the ascending
+/// distinct values, and in `below[j]` the `(positives, negatives)` whose
+/// value is less than `values[j]`. `below[values.len()]` counts every row.
+#[derive(Default)]
+struct CutCounts {
+    values: Vec<f64>,
+    below: Vec<(usize, usize)>,
+}
+
+impl CutCounts {
+    /// Recounts from `(value, positive)` pairs in ascending value order.
+    fn tally(&mut self, rows: impl Iterator<Item = (f64, bool)>) {
+        self.values.clear();
+        self.below.clear();
+        let (mut p, mut n) = (0, 0);
+        for (v, positive) in rows {
+            if self.values.last() != Some(&v) {
+                self.values.push(v);
+                self.below.push((p, n));
+            }
+            if positive {
+                p += 1;
+            } else {
+                n += 1;
+            }
+        }
+        self.below.push((p, n));
+    }
+
+    /// `(p, n)` covered by `f <= t` and by `f >= t`, as `f64`.
+    fn covered_by(&self, t: f64) -> [(f64, f64); 2] {
+        let (le_p, le_n) = self.below[self.values.partition_point(|&v| v <= t)];
+        let (lt_p, lt_n) = self.below[self.values.partition_point(|&v| v < t)];
+        let (all_p, all_n) = self.below[self.values.len()];
+        [
+            (le_p as f64, le_n as f64),
+            ((all_p - lt_p) as f64, (all_n - lt_n) as f64),
+        ]
+    }
+}
+
 impl Classifier for JRip {
     fn fit(&mut self, data: &Dataset) -> Result<(), TrainError> {
-        // Build a one-off cut-point cache; large covered sets then skip the
-        // per-condition value sorts. Bit-identical to `fit_naive`.
+        // Build a one-off cut-point cache; large covered sets then walk it
+        // instead of sorting their values. Bit-identical to `fit_naive`.
         let cols = SortedColumns::new(data);
         self.fit_impl(data, Some(&cols))
     }
@@ -619,6 +695,261 @@ impl Classifier for JRip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// The grow step `JRip::grow_rule` replaced, kept verbatim as its
+    /// oracle: every candidate condition rescans the covered rows.
+    fn grow_rule_reference(
+        model: &JRip,
+        data: &Dataset,
+        grow: &[usize],
+        class: usize,
+        cols: Option<&SortedColumns>,
+    ) -> Vec<Condition> {
+        let mut conditions: Vec<Condition> = Vec::new();
+        let mut covered: Vec<usize> = grow.to_vec();
+        let mut in_covered = vec![false; if cols.is_some() { data.len() } else { 0 }];
+        let mut values: Vec<f64> = Vec::new();
+        while conditions.len() < model.max_conditions {
+            let p0 = covered
+                .iter()
+                .filter(|&&i| data.label_of(i) == class)
+                .count() as f64;
+            let n0 = covered.len() as f64 - p0;
+            if p0 == 0.0 || n0 == 0.0 {
+                break; // already pure (or hopeless)
+            }
+            let base = (p0 / (p0 + n0)).log2();
+            // Walking the full-length presorted order costs O(len); sorting
+            // the covered values costs O(c log c). Prefer the cache only
+            // while c log c dominates — both paths yield the same list.
+            let cache = cols.filter(|_| covered.len() * 6 >= data.len());
+            if cache.is_some() {
+                in_covered.fill(false);
+                for &i in &covered {
+                    in_covered[i] = true;
+                }
+            }
+            let mut best: Option<(f64, Condition)> = None;
+            for attr in 0..data.n_features() {
+                values.clear();
+                match cache {
+                    Some(cols) => {
+                        for &r in cols.order(attr) {
+                            let i = r as usize;
+                            if !in_covered[i] {
+                                continue;
+                            }
+                            let v = data.features_of(i)[attr];
+                            if values.last() != Some(&v) {
+                                values.push(v);
+                            }
+                        }
+                    }
+                    None => {
+                        values.extend(covered.iter().map(|&i| data.features_of(i)[attr]));
+                        values.sort_by(|a, b| a.partial_cmp(b).expect("finite features"));
+                        values.dedup();
+                    }
+                }
+                if values.len() < 2 {
+                    continue;
+                }
+                // Candidate thresholds: midpoints, subsampled for speed.
+                let stride = (values.len() / 24).max(1);
+                for w in values.windows(2).step_by(stride) {
+                    let threshold = (w[0] + w[1]) / 2.0;
+                    for cond in [
+                        Condition::Le {
+                            attr,
+                            value: threshold,
+                        },
+                        Condition::Ge {
+                            attr,
+                            value: threshold,
+                        },
+                    ] {
+                        let mut p = 0.0f64;
+                        let mut n = 0.0f64;
+                        for &i in &covered {
+                            if cond.matches(data.features_of(i)) {
+                                if data.label_of(i) == class {
+                                    p += 1.0;
+                                } else {
+                                    n += 1.0;
+                                }
+                            }
+                        }
+                        if p == 0.0 {
+                            continue;
+                        }
+                        // FOIL gain: p * (log2(p/(p+n)) - log2(p0/(p0+n0))).
+                        let gain = p * ((p / (p + n)).log2() - base);
+                        let better = match &best {
+                            None => gain > 1e-9,
+                            Some((bg, _)) => gain > *bg,
+                        };
+                        if better {
+                            best = Some((gain, cond));
+                        }
+                    }
+                }
+            }
+            let Some((_, cond)) = best else { break };
+            conditions.push(cond);
+            covered.retain(|&i| cond.matches(data.features_of(i)));
+            let neg = covered
+                .iter()
+                .filter(|&&i| data.label_of(i) != class)
+                .count();
+            if neg == 0 {
+                break;
+            }
+        }
+        conditions
+    }
+
+    /// A grown rule as comparable bits, so `-0.0` and `0.0` differ.
+    fn bits(conditions: &[Condition]) -> Vec<(bool, usize, u64)> {
+        conditions
+            .iter()
+            .map(|c| match *c {
+                Condition::Le { attr, value } => (true, attr, value.to_bits()),
+                Condition::Ge { attr, value } => (false, attr, value.to_bits()),
+            })
+            .collect()
+    }
+
+    /// A grow step's inputs drawn from `seed`: up to 400 rows of 1 to 3
+    /// columns and 2 or 3 classes, any class, and a grow set of a few rows
+    /// (below `n / 6`, the sort fallback) up to all of them. Each column
+    /// draws from a pool of up to 8 values or of 64 to 128 (48 distinct
+    /// make the candidate stride exceed 1) mixing small integers, adjacent
+    /// doubles `x` and `x.next_up()` (their midpoint rounds onto one of
+    /// them), `-0.0` beside `0.0`, spread reals and magnitudes whose sum
+    /// overflows.
+    fn grow_case(seed: u64) -> (Dataset, Vec<usize>, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(4..=400);
+        let k = rng.gen_range(2..=3);
+        let pools: Vec<Vec<f64>> = (0..rng.gen_range(1..=3))
+            .map(|_| {
+                let size = if rng.gen() {
+                    rng.gen_range(1..=8)
+                } else {
+                    rng.gen_range(64..=128)
+                };
+                let mut pool = Vec::new();
+                while pool.len() < size {
+                    match rng.gen_range(0..5) {
+                        0 => {
+                            let x: f64 = rng.gen_range(-4.0..4.0);
+                            pool.extend([x, x.next_up()]);
+                        }
+                        1 => pool.extend([-0.0, 0.0]),
+                        2 => pool.push(f64::from(rng.gen_range(-3..=3))),
+                        3 => pool.push(rng.gen_range(-1e3..1e3)),
+                        _ => pool.push(rng.gen_range(-1.0..1.0) * f64::MAX),
+                    }
+                }
+                pool
+            })
+            .collect();
+        let features = (0..n)
+            .map(|_| {
+                pools
+                    .iter()
+                    .map(|pool| pool[rng.gen_range(0..pool.len())])
+                    .collect()
+            })
+            .collect();
+        let labels = (0..n).map(|_| rng.gen_range(0..k)).collect();
+        let data = Dataset::new(features, labels, k).expect("finite features");
+        let keep = if rng.gen() {
+            rng.gen_range(0.02..0.16)
+        } else {
+            rng.gen_range(0.3..=1.0)
+        };
+        let grow = (0..n).filter(|_| rng.gen_bool(keep)).collect();
+        (data, grow, rng.gen_range(0..k))
+    }
+
+    /// Asserts that both grow paths, the presorted walk and the sort,
+    /// return the rescan's conditions bit for bit.
+    fn assert_grows_like_reference(data: &Dataset, grow: &[usize], class: usize) {
+        let model = JRip::new(0);
+        let cols = SortedColumns::new(data);
+        for cache in [Some(&cols), None] {
+            assert_eq!(
+                bits(&model.grow_rule(data, grow, class, cache)),
+                bits(&grow_rule_reference(&model, data, grow, class, cache)),
+                "walk: {}",
+                cache.is_some()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn grow_rule_matches_the_rescan_bit_for_bit(seed in any::<u64>()) {
+            let (data, grow, class) = grow_case(seed);
+            assert_grows_like_reference(&data, &grow, class);
+        }
+    }
+
+    /// `grow_case` reaches what `prop_train.rs`'s 6–20-row datasets never
+    /// do: strided candidates, the sort fallback, midpoints that round onto
+    /// an endpoint and zeros of both signs in one column.
+    #[test]
+    fn grow_cases_reach_the_rescans_edge_cases() {
+        let (mut strided, mut sorted, mut endpoint, mut zeros) = (0, 0, 0, 0);
+        for seed in 0..128 {
+            let (data, grow, _) = grow_case(seed);
+            sorted += usize::from(grow.len() * 6 < data.len());
+            for attr in 0..data.n_features() {
+                let mut values: Vec<f64> =
+                    grow.iter().map(|&i| data.features_of(i)[attr]).collect();
+                values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                zeros += usize::from(
+                    values.iter().any(|v| v.to_bits() == 0.0f64.to_bits())
+                        && values.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()),
+                );
+                values.dedup();
+                strided += usize::from(values.len() >= 48);
+                endpoint += usize::from(values.windows(2).any(|w| {
+                    let t = (w[0] + w[1]) / 2.0;
+                    t == w[0] || t == w[1]
+                }));
+            }
+        }
+        assert!(
+            strided >= 10 && sorted >= 10 && endpoint >= 10 && zeros >= 10,
+            "strided {strided}, sorted {sorted}, endpoint {endpoint}, zeros {zeros}"
+        );
+    }
+
+    #[test]
+    fn grow_rule_counts_midpoints_that_round_onto_an_endpoint() {
+        // `(1.0 + 1.0.next_up()) / 2` rounds down to 1.0 and the next
+        // pair's midpoint rounds up, so `>=` must count the lower endpoint
+        // and `<=` the upper one. Zeros of both signs share one value.
+        let x = [1.0, 1.0f64.next_up(), 1.0f64.next_up().next_up(), 3.0];
+        for labels in [[0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0]] {
+            let features = (0..16)
+                .map(|i| vec![x[i % 4], if i % 3 == 0 { -0.0 } else { 0.0 }])
+                .collect();
+            let labels = (0..16).map(|i| labels[i % 4]).collect();
+            let data = Dataset::new(features, labels, 2).unwrap();
+            let all: Vec<usize> = (0..16).collect();
+            for class in 0..2 {
+                assert_grows_like_reference(&data, &all, class);
+                assert_grows_like_reference(&data, &all[..2], class);
+            }
+        }
+    }
 
     fn banded() -> Dataset {
         // Class 1 iff x in [0.4, 0.6]: needs a two-condition rule.
