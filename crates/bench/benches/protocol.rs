@@ -33,6 +33,8 @@ fn verdict_frame() -> Frame {
     }
 }
 
+/// The generic serializer's Submit encode (`Value` tree, fresh buffer):
+/// the oracle the direct writer in `encode_into` is held to.
 fn bench_encode(c: &mut Criterion) {
     let frame = submit_frame();
     c.bench_function("protocol/encode_submit", |b| {
@@ -40,9 +42,8 @@ fn bench_encode(c: &mut Criterion) {
     });
 }
 
-/// The buffer-reusing variant a worker uses to queue replies: same bytes
-/// as `encode`, appended to a persistent outbuf through reused JSON
-/// scratch.
+/// The buffer-reusing variant an agent sends a Submit with: the same bytes
+/// as `encode`, written by the direct writer into a persistent outbuf.
 fn bench_encode_into(c: &mut Criterion) {
     let frame = submit_frame();
     let mut json = String::new();
@@ -72,11 +73,26 @@ fn bench_encode_verdict_into(c: &mut Criterion) {
     });
 }
 
+/// Submit decode through `FrameBuffer::next_frame` (a fresh buffer each
+/// time): the direct reader in `decode_payload`, building the `Frame`.
 fn bench_decode(c: &mut Criterion) {
     let bytes = encode(&submit_frame());
     c.bench_function("protocol/decode_submit", |b| {
         b.iter(|| {
             let mut fb = FrameBuffer::new();
+            fb.extend(black_box(&bytes));
+            fb.next_frame().expect("valid frame")
+        })
+    });
+}
+
+/// Verdict decode as an agent, `DetectorClient` or loadgen reads its
+/// reply: the v1 frame through a reused `FrameBuffer::next_frame`.
+fn bench_decode_verdict(c: &mut Criterion) {
+    let bytes = encode(&verdict_frame());
+    let mut fb = FrameBuffer::new();
+    c.bench_function("protocol/decode_verdict", |b| {
+        b.iter(|| {
             fb.extend(black_box(&bytes));
             fb.next_frame().expect("valid frame")
         })
@@ -175,6 +191,7 @@ criterion_group!(
     bench_encode_into,
     bench_encode_verdict_into,
     bench_decode,
+    bench_decode_verdict,
     bench_encode_v2,
     bench_decode_v2,
     bench_roundtrip_pair,

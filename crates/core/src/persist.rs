@@ -191,7 +191,8 @@ impl DetectorSnapshot {
     /// - a specialist threshold outside `[0, 1]`;
     /// - a specialist model that is unfitted, not binary, reads a feature
     ///   its event list does not supply, has ragged or non-finite MLP
-    ///   weights, or is a damaged ensemble (see [`AnyModel::validate`]).
+    ///   weights or a NaN JRip threshold, or is a damaged ensemble (see
+    ///   [`AnyModel::validate`]).
     pub fn validate(&self) -> Result<(), PersistError> {
         let invalid = |what: String| Err(PersistError::Invalid(what));
         let n = self.stage1_events.len();
@@ -475,6 +476,27 @@ mod tests {
         damaged.stage2[0].model =
             serde_json::from_str(&format!("{}7{}", &json[..at], &json[end..])).unwrap();
         assert!(matches!(damaged.validate(), Err(PersistError::Invalid(_))));
+        assert!(matches!(
+            damaged.try_restore(),
+            Err(PersistError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn try_restore_refuses_a_jrip_threshold_saved_as_null() {
+        // `null` reads back as NaN, a threshold no counter compares true
+        // against: unchecked, the rule stops firing and the restored
+        // detector serves different verdicts without any error.
+        let good = DetectorSnapshot::capture(&trained_with(ClassifierKind::JRip, false).0).unwrap();
+        let json = serde_json::to_string(&good.stage2[0].model).unwrap();
+        let at = json
+            .find("\"value\":")
+            .expect("the specialist has a condition")
+            + 8;
+        let end = at + json[at..].find('}').unwrap();
+        let mut damaged = good.clone();
+        damaged.stage2[0].model =
+            serde_json::from_str(&format!("{}null{}", &json[..at], &json[end..])).unwrap();
         assert!(matches!(
             damaged.try_restore(),
             Err(PersistError::Invalid(_))

@@ -115,10 +115,10 @@ impl AnyModel {
     ///
     /// The model must be fitted. A tree, rule list or one-rule model may
     /// only test features below `inputs`, and a rule list may only assign
-    /// its own classes, with confidences in `[0, 1]`. An MLP or MLR must
-    /// take exactly `inputs` features, and an MLP's weight rows must be
-    /// rectangular, its scaler as wide as its input and its weights
-    /// finite. An ensemble needs at least one base, one weight per base,
+    /// its own classes, with confidences in `[0, 1]`, and may not compare
+    /// against a NaN threshold. An MLP or MLR must take exactly `inputs`
+    /// features, and an MLP's weight rows must be rectangular, its scaler
+    /// as wide as its input and its weights finite. An ensemble needs at least one base, one weight per base,
     /// and bases that each pass these checks and are all of one stage-2
     /// kind and of the ensemble's class count.
     ///
@@ -438,6 +438,27 @@ mod tests {
         for model in damaged {
             assert!(model.validate(2).is_err(), "{model:?}");
         }
+    }
+
+    #[test]
+    fn validate_rejects_a_nan_jrip_threshold_but_not_an_infinite_one() {
+        let mut jrip = JRip::new(7);
+        jrip.fit(&band()).unwrap();
+        let good = AnyModel::JRip(jrip);
+        let threshold = |value: &'static str| {
+            move |json: &mut String| {
+                let at = json.find("\"value\":").expect("a rule has a condition") + 8;
+                let end = at + json[at..].find('}').unwrap();
+                json.replace_range(at..end, value);
+            }
+        };
+        // `null` reads back as NaN: the condition then matches no row and
+        // its rule silently stops firing.
+        let nan = edited(&good, threshold("null"));
+        assert!(nan.validate(2).is_err(), "{nan:?}");
+        // An infinite cut is one training can produce; it stays legal.
+        let infinite = edited(&good, threshold("1e400"));
+        assert_eq!(infinite.validate(2), Ok(2));
     }
 
     #[test]

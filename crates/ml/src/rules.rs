@@ -168,7 +168,9 @@ impl JRip {
     /// The highest attribute index a condition of the fitted rules tests
     /// (`None` if condition-free), once the model is known to score
     /// safely: every rule's class and the default class are below its
-    /// class count, and every confidence lies in `[0, 1]`. A row needs
+    /// class count, every confidence lies in `[0, 1]`, and no condition's
+    /// threshold is NaN (a NaN threshold matches no row, so it silently
+    /// turns its rule off; an infinite one is a legal cut). A row needs
     /// more features than the returned index to be scored.
     pub(crate) fn checked_max_attribute(&self) -> Result<Option<usize>, String> {
         let f = self.fitted.as_ref().ok_or("JRip is not fitted")?;
@@ -188,13 +190,15 @@ impl JRip {
                 return Err(format!("JRip confidence {confidence} is outside [0, 1]"));
             }
         }
-        Ok(f.rules
-            .iter()
-            .flat_map(|r| &r.conditions)
-            .map(|c| match *c {
-                Condition::Le { attr, .. } | Condition::Ge { attr, .. } => attr,
-            })
-            .max())
+        let mut max_attr = None;
+        for c in f.rules.iter().flat_map(|r| &r.conditions) {
+            let (Condition::Le { attr, value } | Condition::Ge { attr, value }) = *c;
+            if value.is_nan() {
+                return Err(format!("JRip tests feature {attr} against a NaN threshold"));
+            }
+            max_attr = max_attr.max(Some(attr));
+        }
+        Ok(max_attr)
     }
 
     /// Longest antecedent among the fitted rules (0 for a rule-free model),

@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+mod json_num;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;

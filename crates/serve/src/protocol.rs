@@ -11,6 +11,19 @@
 //! +----------------+-------------------------------+
 //! ```
 //!
+//! # Direct codec for the per-reading frames
+//!
+//! The JSON is serde_json's, byte for byte, but the frames every reading
+//! produces skip its `Value` tree. [`encode_into`] writes `Submit`,
+//! `Verdict` and `Error` payloads straight into the output buffer.
+//! [`decode_submit_into`] (the server's v1 Submit path, the twin of
+//! [`crate::wire2::decode_submit_into`]) and [`decode_payload`] read
+//! `Submit` and `Verdict` payloads in the exact form the writer emits —
+//! no whitespace, keys in field order — with serde_json's number rule.
+//! serde_json still runs for `Hello` and `Drain` in both directions, for
+//! decoding `Error`, and for any payload not in that form; it is the
+//! reference the direct codec's tests compare against.
+//!
 //! # Robustness contract
 //!
 //! A detection service ingests telemetry from potentially compromised
@@ -24,7 +37,9 @@
 //!   usually another protocol, e.g. an HTTP request line), so the server
 //!   sends one `Error` frame and closes.
 
+use crate::json_num::{write_json_f64, write_u64};
 use crate::metrics::MetricsSnapshot;
+use hmd_hpc_sim::workload::AppClass;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -215,126 +230,145 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 }
 
 /// [`encode`] through caller-owned buffers — the per-connection hot path.
-/// `json` is reused serialization scratch (cleared each call); the wire
-/// bytes are *appended* to `out`, so a worker can encode straight into a
-/// connection's output buffer. Bytes produced are identical to
-/// [`encode`]'s.
+/// The wire bytes are *appended* to `out`, so a worker can encode straight
+/// into a connection's output buffer; `json` is serialization scratch for
+/// the frames the generic serializer still writes. Bytes produced are
+/// identical to [`encode`]'s.
 ///
-/// The server's reply frames (`Verdict`, `Error`) take a direct-to-buffer
-/// writer that renders JSON with `core::fmt` instead of building the
-/// vendored serializer's `Value` tree; the tests below hold those writers
-/// to byte equality with [`encode`], float formatting and string escaping
-/// included. Other frame kinds (handshake, metrics — never hot) still go
-/// through the generic serializer.
+/// The per-reading frames (an agent's `Submit`, the server's `Verdict`)
+/// and `Error` replies are written straight into `out`, the length prefix
+/// reserved and backpatched, instead of through the vendored serializer's
+/// `Value` tree; the tests below hold those writers to byte equality with
+/// [`encode`], float formatting and string escaping included. `Hello` and
+/// `Drain` (handshake and metrics, never hot) still go through the
+/// generic serializer.
 // hmd-analyze: hot-path
 pub fn encode_into(frame: &Frame, json: &mut String, out: &mut Vec<u8>) {
+    let prefix_at = out.len();
+    out.extend_from_slice(&[0; 4]);
     match frame {
+        Frame::Submit {
+            host_id,
+            seq,
+            counters,
+        } => write_submit_payload(out, *host_id, *seq, counters),
         Frame::Verdict {
             host_id,
             seq,
             verdict,
-        } => {
-            json.clear();
-            write_verdict_payload(json, *host_id, *seq, verdict.as_ref());
-        }
-        Frame::Error { code, detail } => {
-            json.clear();
-            write_error_payload(json, *code, detail);
-        }
-        _ => {
+        } => write_verdict_payload(out, *host_id, *seq, verdict.as_ref()),
+        Frame::Error { code, detail } => write_error_payload(out, *code, detail),
+        Frame::Hello { .. } | Frame::Drain { .. } => {
             // hmd-analyze: allow(panic-in-serve, "serializing Frame is infallible: no maps, non-finite floats encode as null")
             serde_json::to_string_into(frame, json).expect("frame JSON never fails");
+            out.extend_from_slice(json.as_bytes());
         }
     }
-    let bytes = json.as_bytes();
-    debug_assert!(bytes.len() <= MAX_FRAME_BYTES, "outbound frame too large");
-    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    out.extend_from_slice(bytes);
+    let len = out.len() - prefix_at - 4;
+    debug_assert!(len <= MAX_FRAME_BYTES, "outbound frame too large");
+    out[prefix_at..prefix_at + 4].copy_from_slice(&(len as u32).to_be_bytes());
+}
+
+/// `{"Submit":{"host_id":…,"seq":…,"counters":[…]}}`, byte-identical to
+/// the generic serializer.
+// hmd-analyze: hot-path
+fn write_submit_payload(out: &mut Vec<u8>, host_id: u64, seq: u64, counters: &[f64]) {
+    out.extend_from_slice(b"{\"Submit\":{\"host_id\":");
+    write_u64(out, host_id);
+    out.extend_from_slice(b",\"seq\":");
+    write_u64(out, seq);
+    out.extend_from_slice(b",\"counters\":[");
+    for (i, &c) in counters.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_json_f64(out, c);
+    }
+    out.extend_from_slice(b"]}}");
 }
 
 /// `{"Verdict":{"host_id":…,"seq":…,"verdict":…}}`, byte-identical to the
 /// generic serializer's external enum tagging.
 // hmd-analyze: hot-path
-fn write_verdict_payload(json: &mut String, host_id: u64, seq: u64, verdict: Option<&Verdict>) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        json,
-        "{{\"Verdict\":{{\"host_id\":{host_id},\"seq\":{seq},\"verdict\":"
-    );
+fn write_verdict_payload(out: &mut Vec<u8>, host_id: u64, seq: u64, verdict: Option<&Verdict>) {
+    out.extend_from_slice(b"{\"Verdict\":{\"host_id\":");
+    write_u64(out, host_id);
+    out.extend_from_slice(b",\"seq\":");
+    write_u64(out, seq);
+    out.extend_from_slice(b",\"verdict\":");
     match verdict {
-        None => json.push_str("null"),
-        Some(Verdict::Benign) => json.push_str("\"Benign\""),
+        None => out.extend_from_slice(b"null"),
+        Some(Verdict::Benign) => out.extend_from_slice(b"\"Benign\""),
         Some(Verdict::Malware { class, confidence }) => {
-            let _ = write!(
-                json,
-                "{{\"Malware\":{{\"class\":\"{class:?}\",\"confidence\":"
-            );
-            write_json_f64(json, *confidence);
-            json.push_str("}}");
+            out.extend_from_slice(b"{\"Malware\":{\"class\":\"");
+            out.extend_from_slice(class_name(*class).as_bytes());
+            out.extend_from_slice(b"\",\"confidence\":");
+            write_json_f64(out, *confidence);
+            out.extend_from_slice(b"}}");
         }
     }
-    json.push_str("}}");
+    out.extend_from_slice(b"}}");
+}
+
+/// The serde name of an [`AppClass`] (its identifier), as the generic
+/// serializer writes it and the direct Verdict decoder matches it.
+// hmd-analyze: hot-path
+fn class_name(class: AppClass) -> &'static str {
+    match class {
+        AppClass::Benign => "Benign",
+        AppClass::Backdoor => "Backdoor",
+        AppClass::Rootkit => "Rootkit",
+        AppClass::Virus => "Virus",
+        AppClass::Trojan => "Trojan",
+    }
 }
 
 /// `{"Error":{"code":"…","detail":"…"}}`, byte-identical to the generic
 /// serializer.
 // hmd-analyze: hot-path
-fn write_error_payload(json: &mut String, code: ErrorCode, detail: &str) {
-    json.push_str("{\"Error\":{\"code\":\"");
+fn write_error_payload(out: &mut Vec<u8>, code: ErrorCode, detail: &str) {
+    out.extend_from_slice(b"{\"Error\":{\"code\":\"");
     // The serde name of the variant (its identifier), not the lowercase
     // Display form.
-    json.push_str(match code {
-        ErrorCode::Overloaded => "Overloaded",
-        ErrorCode::Malformed => "Malformed",
-        ErrorCode::Oversized => "Oversized",
-        ErrorCode::BadLength => "BadLength",
-        ErrorCode::OutOfOrder => "OutOfOrder",
-        ErrorCode::UnsupportedVersion => "UnsupportedVersion",
-        ErrorCode::Unexpected => "Unexpected",
-        ErrorCode::ShuttingDown => "ShuttingDown",
-        ErrorCode::BadValue => "BadValue",
+    out.extend_from_slice(match code {
+        ErrorCode::Overloaded => b"Overloaded".as_slice(),
+        ErrorCode::Malformed => b"Malformed",
+        ErrorCode::Oversized => b"Oversized",
+        ErrorCode::BadLength => b"BadLength",
+        ErrorCode::OutOfOrder => b"OutOfOrder",
+        ErrorCode::UnsupportedVersion => b"UnsupportedVersion",
+        ErrorCode::Unexpected => b"Unexpected",
+        ErrorCode::ShuttingDown => b"ShuttingDown",
+        ErrorCode::BadValue => b"BadValue",
     });
-    json.push_str("\",\"detail\":");
-    write_json_str(json, detail);
-    json.push_str("}}");
+    out.extend_from_slice(b"\",\"detail\":");
+    write_json_str(out, detail);
+    out.extend_from_slice(b"}}");
 }
 
-/// Float formatting matching the vendored serializer exactly: integral
-/// finite values keep a `.0` (so they re-parse as floats), other finite
-/// values print shortest-`Display`, non-finite encodes as `null`.
+/// String escaping matching the vendored serializer exactly. Byte-wise is
+/// char-wise here: every byte of a multi-byte UTF-8 character is above
+/// the ASCII range, so only single-byte characters are escaped.
 // hmd-analyze: hot-path
-fn write_json_f64(json: &mut String, f: f64) {
-    use std::fmt::Write as _;
-    if f.is_finite() {
-        if f.fract() == 0.0 && f.abs() < 1e15 {
-            let _ = write!(json, "{f:.1}");
-        } else {
-            let _ = write!(json, "{f}");
-        }
-    } else {
-        json.push_str("null");
-    }
-}
-
-/// String escaping matching the vendored serializer exactly.
-// hmd-analyze: hot-path
-fn write_json_str(json: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    json.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => json.push_str("\\\""),
-            '\\' => json.push_str("\\\\"),
-            '\n' => json.push_str("\\n"),
-            '\r' => json.push_str("\\r"),
-            '\t' => json.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(json, "\\u{:04x}", c as u32);
+fn write_json_str(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b if b < 0x20 => {
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 0xf)]);
             }
-            c => json.push(c),
+            b => out.push(b),
         }
     }
-    json.push('"');
+    out.push(b'"');
 }
 
 /// Format-dispatching [`encode_into`]: encodes `frame` per `format`,
@@ -385,13 +419,197 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
 /// Decodes one v1 (JSON) payload into a [`Frame`]. The v2 counterpart is
 /// [`crate::wire2::decode_payload`].
 ///
+/// A `Submit` or `Verdict` in the exact form [`encode_into`] writes is
+/// read directly, with no `Value` tree; any other payload, and any
+/// `Hello`, `Drain` or `Error`, goes through the generic serializer, which
+/// is the reference the direct readers match.
+///
 /// # Errors
 ///
 /// [`WireError::Malformed`] on non-UTF-8 or structurally invalid JSON.
 pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
+    let mut counters = Vec::new();
+    if let Some((host_id, seq)) = decode_submit_into(payload, &mut counters) {
+        return Ok(Frame::Submit {
+            host_id,
+            seq,
+            counters,
+        });
+    }
+    if let Some(frame) = decode_verdict(payload) {
+        return Ok(frame);
+    }
     let text = std::str::from_utf8(payload)
         .map_err(|e| WireError::Malformed(format!("not UTF-8: {e}")))?;
     serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))
+}
+
+/// Decodes a v1 `Submit` payload straight into a caller-owned counter
+/// scratch buffer, returning `(host_id, seq)` — the v1 twin of
+/// [`crate::wire2::decode_submit_into`]: no `Frame`, no `Value` tree, no
+/// per-frame heap allocation once the scratch has grown to the fleet's
+/// arity.
+///
+/// It reads only the canonical form [`encode_into`] writes,
+/// `{"Submit":{"host_id":…,"seq":…,"counters":[…]}}` with no whitespace,
+/// and reads each number as the generic serializer does. Returns `None`
+/// for any other payload (whitespace, another key order, extra keys,
+/// escapes, a non-integer id, a malformed or truncated frame); callers
+/// then fall back to [`decode_payload`], whose generic path decides.
+// hmd-analyze: hot-path
+pub fn decode_submit_into(payload: &[u8], counters: &mut Vec<f64>) -> Option<(u64, u64)> {
+    let mut s = Scan::new(payload);
+    s.lit(b"{\"Submit\":{\"host_id\":")?;
+    let host_id = s.id()?;
+    s.lit(b",\"seq\":")?;
+    let seq = s.id()?;
+    s.lit(b",\"counters\":[")?;
+    counters.clear();
+    if s.lit(b"]").is_none() {
+        loop {
+            counters.push(s.number_or_null()?);
+            if s.lit(b"]").is_some() {
+                break;
+            }
+            s.lit(b",")?;
+        }
+    }
+    s.lit(b"}}")?;
+    s.end()?;
+    Some((host_id, seq))
+}
+
+/// Decodes a v1 `Verdict` payload in the canonical form
+/// [`encode_into`] writes, as [`decode_submit_into`] does a `Submit`;
+/// `None` for any other payload.
+// hmd-analyze: hot-path
+fn decode_verdict(payload: &[u8]) -> Option<Frame> {
+    let mut s = Scan::new(payload);
+    s.lit(b"{\"Verdict\":{\"host_id\":")?;
+    let host_id = s.id()?;
+    s.lit(b",\"seq\":")?;
+    let seq = s.id()?;
+    s.lit(b",\"verdict\":")?;
+    let verdict = if s.lit(b"null").is_some() {
+        None
+    } else if s.lit(b"\"Benign\"").is_some() {
+        Some(Verdict::Benign)
+    } else {
+        s.lit(b"{\"Malware\":{\"class\":\"")?;
+        let name = s.until(b'"')?;
+        let class = AppClass::ALL
+            .into_iter()
+            .find(|&c| class_name(c).as_bytes() == name)?;
+        s.lit(b",\"confidence\":")?;
+        let confidence = s.number_or_null()?;
+        s.lit(b"}}")?;
+        Some(Verdict::Malware { class, confidence })
+    };
+    s.lit(b"}}")?;
+    s.end()?;
+    Some(Frame::Verdict {
+        host_id,
+        seq,
+        verdict,
+    })
+}
+
+/// Cursor over a v1 payload for the direct readers. Every step either
+/// matches exactly what the canonical writer emits or returns `None`, so
+/// a payload it accepts is all ASCII and parses to the same tree in the
+/// generic serializer.
+struct Scan<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Scan<'a> {
+    fn new(bytes: &'a [u8]) -> Scan<'a> {
+        Scan { bytes, at: 0 }
+    }
+
+    /// Consumes `lit` if the payload continues with it.
+    fn lit(&mut self, lit: &[u8]) -> Option<()> {
+        let rest = self.bytes.get(self.at..)?;
+        if rest.starts_with(lit) {
+            self.at += lit.len();
+            Some(())
+        } else {
+            None
+        }
+    }
+
+    /// Consumes bytes up to the next `stop`, and `stop` itself; the bytes
+    /// before it.
+    fn until(&mut self, stop: u8) -> Option<&'a [u8]> {
+        let rest = self.bytes.get(self.at..)?;
+        let len = rest.iter().position(|&b| b == stop)?;
+        self.at += len + 1;
+        Some(&rest[..len])
+    }
+
+    /// The whole payload was consumed.
+    fn end(&self) -> Option<()> {
+        (self.at == self.bytes.len()).then_some(())
+    }
+
+    /// A number token as the generic parser delimits it: a `-` or digit,
+    /// then every following byte of `0-9 . e E + -`. Returns the token
+    /// and whether the parser reads it as a float (any byte after the
+    /// first is one of `. e E + -`) rather than trying integers first.
+    fn number(&mut self) -> Option<(&'a str, bool)> {
+        let rest = self.bytes.get(self.at..)?;
+        let first = *rest.first()?;
+        if first != b'-' && !first.is_ascii_digit() {
+            return None;
+        }
+        let mut len = 1;
+        let mut float = false;
+        for &b in &rest[1..] {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => float = true,
+                _ => break,
+            }
+            len += 1;
+        }
+        self.at += len;
+        // ASCII by construction, so this never fails.
+        std::str::from_utf8(&rest[..len])
+            .ok()
+            .map(|text| (text, float))
+    }
+
+    /// A `u64` id. Only an integer token the `u64` parser takes, which
+    /// the generic path reads to the same value; anything else (a
+    /// fraction, an exponent, a sign, a value past `u64::MAX`) is left to
+    /// the generic path.
+    fn id(&mut self) -> Option<u64> {
+        match self.number()? {
+            (text, false) => text.parse().ok(),
+            (_, true) => None,
+        }
+    }
+
+    /// An `f64` by the generic serializer's number rule: `null` reads as
+    /// NaN; an integer token tries `i64`, then `u64`, then `f64` (so `-0`
+    /// reads as +0.0 while `-0.0` keeps its sign); any other token parses
+    /// as `f64` (so `1e400` reads as infinity).
+    fn number_or_null(&mut self) -> Option<f64> {
+        if self.lit(b"null").is_some() {
+            return Some(f64::NAN);
+        }
+        let (text, float) = self.number()?;
+        if !float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Some(i as f64);
+            }
+            if let Ok(u) = text.parse::<u64>() {
+                return Some(u as f64);
+            }
+        }
+        text.parse().ok()
+    }
 }
 
 /// Incremental frame decoder for non-blocking sockets.
@@ -466,28 +684,43 @@ impl FrameBuffer {
     }
 
     /// Extracts the next complete frame's raw payload bytes, consuming
-    /// them. The server's v2 fast path peeks the tag here and decodes
-    /// `Submit` without constructing a [`Frame`].
+    /// them. The server's Submit fast paths decode from here without
+    /// constructing a [`Frame`].
     ///
     /// # Errors
     ///
     /// [`WireError::Oversized`] when the length prefix exceeds the cap
     /// (framing is lost; drop the connection).
     pub fn next_payload(&mut self) -> Result<Option<&[u8]>, WireError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        let Some(len) = self.head_len() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
+        };
         if len > MAX_FRAME_BYTES {
             return Err(WireError::Oversized(len));
         }
-        if avail.len() < 4 + len {
+        if self.pending() < 4 + len {
             return Ok(None);
         }
         let start = self.pos + 4;
         self.pos = start + len;
         Ok(Some(&self.buf[start..start + len]))
+    }
+
+    /// Bytes the next frame needs buffered before it decodes: its length
+    /// prefix plus payload once the prefix has arrived, the 4 prefix bytes
+    /// until then (and for an oversized prefix, which decodes at once as
+    /// an error).
+    pub(crate) fn needed(&self) -> usize {
+        match self.head_len() {
+            Some(len) if len <= MAX_FRAME_BYTES => 4 + len,
+            _ => 4,
+        }
+    }
+
+    /// The next frame's length prefix, once its 4 bytes have arrived.
+    fn head_len(&self) -> Option<usize> {
+        let prefix = self.buf.get(self.pos..self.pos + 4)?;
+        Some(u32::from_be_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize)
     }
 
     fn compact(&mut self) {
@@ -577,21 +810,6 @@ mod tests {
 
     #[test]
     fn direct_verdict_writer_is_byte_identical_to_the_generic_serializer() {
-        use hmd_hpc_sim::workload::AppClass;
-        let confidences = [
-            0.875,          // fractional
-            1.0,            // integral → ".0" suffix
-            0.0,            // zero → "0.0"
-            -0.0,           // negative zero
-            1.0 / 3.0,      // long shortest-repr fraction
-            0.1 + 0.2,      // classic rounding artifact
-            1e-300,         // tiny exponent form
-            2.5e14,         // integral but below the 1e15 Display cutoff
-            1e15,           // integral at the cutoff → Display form
-            f64::NAN,       // non-finite → null
-            f64::INFINITY,  // non-finite → null
-            -f64::INFINITY, // non-finite → null
-        ];
         for host_id in [0u64, 7, u64::MAX] {
             for seq in [0u64, 3, u64::MAX] {
                 assert_encode_into_matches_oracle(&Frame::Verdict {
@@ -606,8 +824,8 @@ mod tests {
                 });
             }
         }
-        for &confidence in &confidences {
-            for &class in &AppClass::MALWARE {
+        for &confidence in &FLOAT_CASES {
+            for &class in &AppClass::ALL {
                 assert_encode_into_matches_oracle(&Frame::Verdict {
                     host_id: 42,
                     seq: 9,
@@ -648,18 +866,64 @@ mod tests {
         }
     }
 
+    /// Float cut-offs of `write_json_f64`: the `.0` suffix, the 1e15
+    /// switch to shortest `Display`, signed zeros, subnormals, and the
+    /// non-finite values that encode as `null`.
+    const FLOAT_CASES: [f64; 22] = [
+        0.875,
+        1.0,
+        0.0,
+        -0.0,
+        -3.0,
+        1.0 / 3.0,
+        0.1 + 0.2,
+        1e-300,
+        2.5e14,
+        999_999_999_999_999.0,
+        1e15,
+        -1e15,
+        1e21,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 2.0,
+        -5e-324,
+        123_456.789_012_345_67,
+        1.25e6,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
     #[test]
-    fn non_reply_frames_still_round_trip_through_encode_into() {
+    fn direct_submit_writer_is_byte_identical_to_the_generic_serializer() {
+        for host_id in [0u64, 7, u64::MAX] {
+            for seq in [0u64, 3, u64::MAX] {
+                for n in 0..=8 {
+                    // Each arity walks the float cases from its own start.
+                    let counters: Vec<f64> = (0..n)
+                        .map(|i| FLOAT_CASES[(i + n + (host_id % 5) as usize) % FLOAT_CASES.len()])
+                        .collect();
+                    assert_encode_into_matches_oracle(&Frame::Submit {
+                        host_id,
+                        seq,
+                        counters,
+                    });
+                }
+            }
+        }
+        for &c in &FLOAT_CASES {
+            assert_encode_into_matches_oracle(&Frame::Submit {
+                host_id: 1,
+                seq: 2,
+                counters: vec![c; 4],
+            });
+        }
+    }
+
+    #[test]
+    fn handshake_and_metrics_frames_still_round_trip_through_encode_into() {
         // The generic-serializer fallback arm must stay wired up.
-        for frame in [
-            Frame::Hello { version: 2 },
-            Frame::Submit {
-                host_id: 3,
-                seq: 1,
-                counters: vec![1.5, 2.0, f64::NAN, -0.25],
-            },
-            Frame::Drain { stats: None },
-        ] {
+        for frame in [Frame::Hello { version: 2 }, Frame::Drain { stats: None }] {
             assert_encode_into_matches_oracle(&frame);
         }
     }

@@ -15,8 +15,8 @@
 
 use crate::metrics::Metrics;
 use crate::protocol::{
-    encode_frame_into, ErrorCode, Frame, FrameBuffer, WireError, WireFormat, PROTOCOL_VERSION,
-    PROTOCOL_VERSION_V2,
+    self, encode_frame_into, ErrorCode, Frame, FrameBuffer, WireError, WireFormat,
+    PROTOCOL_VERSION, PROTOCOL_VERSION_V2,
 };
 use crate::session::{SessionEngine, SubmitBatch, SubmitError};
 use crate::wire2;
@@ -54,6 +54,13 @@ impl Default for ServiceLimits {
     }
 }
 
+/// Upper bound on one framed reply to a `Submit`, in either wire format:
+/// the longest v1 `Verdict` (`u64::MAX` ids, a subnormal confidence's
+/// 326-character `Display`) is under 470 bytes and a per-item `Error` far
+/// less. [`pump`] counts each batched `Submit` at this size against
+/// `max_outbuf` before its reply exists.
+const MAX_SUBMIT_REPLY: usize = 512;
+
 /// The shared protocol service: one session engine plus the metrics and
 /// limits every connection pump consults. One instance serves all
 /// connections of a server (or a simulation).
@@ -84,10 +91,10 @@ pub struct Conn<T> {
     stream: T,
     inbuf: FrameBuffer,
     outbuf: Vec<u8>,
-    /// Reused JSON serialization scratch for v1 replies; v2 replies pack
-    /// straight into `outbuf`.
+    /// Reused JSON serialization scratch for v1 `Hello` and `Drain`
+    /// replies; every other reply is written straight into `outbuf`.
     json_scratch: String,
-    /// Reused counter scratch for the v2 Submit fast path.
+    /// Reused counter scratch for both formats' Submit fast paths.
     counters: Vec<f64>,
     /// Submissions queued during one decode pass, drained through the
     /// engine's batched cascade at the next non-Submit step (or at the end
@@ -148,15 +155,15 @@ impl<T> Conn<T> {
     }
 }
 
-/// One decoded step off a connection's input buffer. For v2 Submits the
-/// counters land in `Conn::counters` (no `Frame` is built); everything
-/// else arrives as a full frame.
+/// One decoded step off a connection's input buffer. For Submits in
+/// either wire format the counters land in `Conn::counters` (no `Frame`
+/// is built); everything else arrives as a full frame.
 enum Step {
     /// Need more bytes.
     Idle,
     /// A complete non-fast-path frame.
     Frame(Frame),
-    /// A v2 Submit decoded into the connection's counter scratch.
+    /// A Submit decoded into the connection's counter scratch.
     Submit { host_id: u64, seq: u64 },
     /// Recoverable decode failure (stream stays framed).
     Malformed(String),
@@ -165,43 +172,40 @@ enum Step {
 }
 
 /// Pulls the next decode step. Split-borrows `inbuf` and `counters` so
-/// the v2 fast path can decode a payload slice straight into scratch.
+/// the Submit fast paths can decode a payload slice straight into scratch.
 // hmd-analyze: hot-path
-// hmd-analyze: allow(transitive-hot-path-alloc, "v1 frames and non-Submit v2 payloads are owned buffers by protocol design; the v2 Submit fast path decodes into counter scratch without allocating")
+// hmd-analyze: allow(transitive-hot-path-alloc, "non-Submit frames and non-canonical v1 Submits are owned buffers by protocol design; both formats' Submit fast paths decode into counter scratch without allocating")
 fn next_step<T>(conn: &mut Conn<T>) -> Step {
-    let format = conn.inbuf.format();
     let Conn {
         inbuf, counters, ..
     } = conn;
-    match format {
-        WireFormat::V1Json => match inbuf.next_frame() {
-            Ok(Some(frame)) => Step::Frame(frame),
-            Ok(None) => Step::Idle,
-            Err(WireError::Malformed(detail)) => Step::Malformed(detail),
-            // hmd-analyze: allow(hot-path-alloc, "framing-fatal rejection path; the connection closes after this")
-            Err(err) => Step::Fatal(err.to_string()),
-        },
-        WireFormat::V2Binary => match inbuf.next_payload() {
-            Ok(Some(payload)) => {
-                if wire2::is_submit(payload) {
-                    if let Some((host_id, seq)) = wire2::decode_submit_into(payload, counters) {
-                        return Step::Submit { host_id, seq };
-                    }
-                }
-                // Non-Submit tags and malformed Submits take the generic
-                // (allocating) decoder for the canonical error text.
-                match wire2::decode_payload(payload) {
-                    Ok(frame) => Step::Frame(frame),
-                    Err(WireError::Malformed(detail)) => Step::Malformed(detail),
-                    // hmd-analyze: allow(hot-path-alloc, "framing-fatal rejection path; the connection closes after this")
-                    Err(err) => Step::Fatal(err.to_string()),
-                }
-            }
-            Ok(None) => Step::Idle,
-            Err(WireError::Malformed(detail)) => Step::Malformed(detail),
-            // hmd-analyze: allow(hot-path-alloc, "framing-fatal rejection path; the connection closes after this")
-            Err(err) => Step::Fatal(err.to_string()),
-        },
+    let format = inbuf.format();
+    let payload = match inbuf.next_payload() {
+        Ok(Some(payload)) => payload,
+        Ok(None) => return Step::Idle,
+        Err(WireError::Malformed(detail)) => return Step::Malformed(detail),
+        // hmd-analyze: allow(hot-path-alloc, "framing-fatal rejection path; the connection closes after this")
+        Err(err) => return Step::Fatal(err.to_string()),
+    };
+    let submit = match format {
+        WireFormat::V1Json => protocol::decode_submit_into(payload, counters),
+        WireFormat::V2Binary => wire2::decode_submit_into(payload, counters),
+    };
+    if let Some((host_id, seq)) = submit {
+        return Step::Submit { host_id, seq };
+    }
+    // Other frames, malformed Submits and (v1) Submits not in canonical
+    // form take the generic (allocating) decoder, which also words the
+    // errors.
+    let frame = match format {
+        WireFormat::V1Json => protocol::decode_payload(payload),
+        WireFormat::V2Binary => wire2::decode_payload(payload),
+    };
+    match frame {
+        Ok(frame) => Step::Frame(frame),
+        Err(WireError::Malformed(detail)) => Step::Malformed(detail),
+        // hmd-analyze: allow(hot-path-alloc, "framing-fatal rejection path; the connection closes after this")
+        Err(err) => Step::Fatal(err.to_string()),
     }
 }
 
@@ -221,11 +225,12 @@ pub fn pump<T: Read + Write>(
     let mut progress = false;
 
     // Read — unless the connection is closing or either backpressure cap
-    // is in force.
-    if !conn.close_after_flush
-        && conn.backlog() < service.limits.max_outbuf
-        && conn.inbuf.pending() < service.limits.max_inbuf
-    {
+    // is in force. The inbound cap stretches to the next frame's length
+    // when that is larger, so a frame above `max_inbuf` still arrives
+    // instead of stalling the connection.
+    let inbuf_full =
+        |conn: &Conn<T>| conn.inbuf.pending() >= service.limits.max_inbuf.max(conn.inbuf.needed());
+    if !conn.close_after_flush && conn.backlog() < service.limits.max_outbuf && !inbuf_full(conn) {
         loop {
             match conn.stream.read(chunk) {
                 Ok(0) => {
@@ -235,7 +240,7 @@ pub fn pump<T: Read + Write>(
                 Ok(n) => {
                     progress = true;
                     conn.inbuf.extend(&chunk[..n]);
-                    if conn.inbuf.pending() >= service.limits.max_inbuf {
+                    if inbuf_full(conn) {
                         break; // decode before buffering more
                     }
                 }
@@ -259,7 +264,13 @@ pub fn pump<T: Read + Write>(
     // arrival order, so a Drain or error cannot overtake queued verdicts)
     // and at the end of the pass. A pipelining v2 client therefore gets
     // one SoA cascade per burst instead of one scalar cascade per frame.
-    while !conn.close_after_flush {
+    //
+    // Decoding also stops once queued replies reach `max_outbuf`, the rest
+    // waiting in `inbuf` until the peer reads. Each batched Submit counts
+    // as a reply of `MAX_SUBMIT_REPLY` bytes, and the batch drains before
+    // those could cross the cap, so the queue ends at most one reply past
+    // it.
+    while !conn.close_after_flush && conn.backlog() < service.limits.max_outbuf {
         match next_step(conn) {
             Step::Idle => break,
             Step::Frame(frame) => {
@@ -318,6 +329,9 @@ pub fn pump<T: Read + Write>(
                 );
                 conn.close_after_flush = true;
             }
+        }
+        if conn.backlog() + conn.batch.len() * MAX_SUBMIT_REPLY >= service.limits.max_outbuf {
+            flush_batch(conn, service);
         }
     }
     flush_batch(conn, service);
@@ -488,6 +502,325 @@ fn handle_frame<T>(conn: &mut Conn<T>, service: &Service, frame: Frame, stopping
                 },
                 metrics,
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::Metrics;
+    use crate::protocol::MAX_FRAME_BYTES;
+    use crate::session::SessionConfig;
+    use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
+    use hmd_hpc_sim::workload::AppClass;
+    use hmd_ml::classifier::ClassifierKind;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+    use twosmart::detector::{TwoSmartDetector, Verdict};
+
+    fn detector() -> TwoSmartDetector {
+        static DETECTOR: OnceLock<TwoSmartDetector> = OnceLock::new();
+        DETECTOR
+            .get_or_init(|| {
+                let corpus = CorpusBuilder::new(CorpusSpec::tiny()).build();
+                AppClass::MALWARE
+                    .iter()
+                    .fold(
+                        TwoSmartDetector::builder().seed(4).hpc_budget(4),
+                        |b, &c| b.classifier_for(c, ClassifierKind::OneR),
+                    )
+                    .train(&corpus)
+                    .expect("detector trains")
+            })
+            .clone()
+    }
+
+    /// The peer's end of an in-memory connection: what it has sent so far
+    /// (`inbound`), whether it has hung up, and what the service wrote
+    /// back. The service may write `window` more bytes before a write
+    /// blocks: the peer reads slowly, or not at all.
+    #[derive(Default)]
+    struct Pipe {
+        inbound: Vec<u8>,
+        read_at: usize,
+        hung_up: bool,
+        outbound: Vec<u8>,
+        window: usize,
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let avail = &self.inbound[self.read_at..];
+            if avail.is_empty() {
+                return if self.hung_up {
+                    Ok(0)
+                } else {
+                    Err(ErrorKind::WouldBlock.into())
+                };
+            }
+            let n = avail.len().min(buf.len());
+            buf[..n].copy_from_slice(&avail[..n]);
+            self.read_at += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.window == 0 {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.window);
+            self.window -= n;
+            self.outbound.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// xorshift64: the case's choices, drawn from one random word.
+    fn next(r: &mut u64) -> u64 {
+        *r ^= *r << 13;
+        *r ^= *r >> 7;
+        *r ^= *r << 17;
+        *r
+    }
+
+    fn framed(format: WireFormat, frame: &Frame) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame_into(format, frame, &mut String::new(), &mut out);
+        out
+    }
+
+    /// A peer's byte stream: arbitrary bytes, tiny junk frames, and
+    /// well-formed Submits and Verdicts, some of them truncated,
+    /// byte-flipped or padded with whitespace, after a `Hello{2}` upgrade
+    /// when `v2`.
+    fn peer_stream(r: &mut u64, v2: bool) -> Vec<u8> {
+        let format = if v2 {
+            WireFormat::V2Binary
+        } else {
+            WireFormat::V1Json
+        };
+        let mut stream = Vec::new();
+        if v2 {
+            stream = framed(WireFormat::V1Json, &Frame::Hello { version: 2 });
+        }
+        for _ in 0..next(r) % 24 {
+            let host_id = next(r) % 4;
+            let frame = if next(r).is_multiple_of(3) {
+                Frame::Verdict {
+                    host_id,
+                    seq: next(r) % 8,
+                    verdict: Some(Verdict::Malware {
+                        class: AppClass::Virus,
+                        confidence: 0.75,
+                    }),
+                }
+            } else {
+                Frame::Submit {
+                    host_id,
+                    seq: next(r) % 8,
+                    counters: (0..next(r) % 6).map(|i| 1e5 / (i + 1) as f64).collect(),
+                }
+            };
+            let mut bytes = framed(format, &frame);
+            let at = 4 + next(r) as usize % (bytes.len() - 4);
+            match next(r) % 8 {
+                // Cut mid-frame: the prefix promises bytes that come from
+                // the next piece, or never.
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= 1 << (next(r) % 8),
+                // Whitespace inside the payload, prefix kept honest.
+                2 => {
+                    bytes.insert(at, b' ');
+                    let len = (bytes.len() - 4) as u32;
+                    bytes[..4].copy_from_slice(&len.to_be_bytes());
+                }
+                3 => {
+                    let len = next(r) as usize % 40;
+                    bytes = (0..len).map(|_| next(r) as u8).collect();
+                }
+                // A run of empty and one-byte frames: one error reply each.
+                4 => {
+                    bytes.clear();
+                    for _ in 0..next(r) % 16 {
+                        bytes.extend_from_slice(&[0, 0, 0, (next(r) % 2) as u8, 0xEE]);
+                        bytes.truncate(bytes.len() - 1 + usize::from(bytes[bytes.len() - 2] == 1));
+                    }
+                }
+                _ => {}
+            }
+            stream.extend_from_slice(&bytes);
+        }
+        stream
+    }
+
+    /// Bytes the frame starting at `head` needs buffered, as far as the
+    /// first `read` bytes of the stream show it.
+    fn needed(stream: &[u8], head: usize, read: usize) -> usize {
+        match stream.get(head..head + 4) {
+            Some(prefix) if head + 4 <= read => {
+                let len = u32::from_be_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
+                if len > MAX_FRAME_BYTES {
+                    4
+                } else {
+                    4 + len
+                }
+            }
+            _ => 4,
+        }
+    }
+
+    /// The whole replies in `bytes`, as `(frame, framed length)`.
+    fn replies(bytes: &[u8], v2: bool) -> Vec<(Frame, usize)> {
+        let mut fb = FrameBuffer::new();
+        fb.extend(bytes);
+        let mut out = Vec::new();
+        loop {
+            let frame = fb
+                .next_frame()
+                .expect("the service only writes well-formed frames");
+            let Some(frame) = frame else { break };
+            let len = framed(fb.format(), &frame).len();
+            if v2 && frame == (Frame::Hello { version: 2 }) {
+                fb.set_format(WireFormat::V2Binary);
+            }
+            out.push((frame, len));
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hostile and broken byte streams through `pump`, with small
+        /// budgets and a peer that reads replies slowly: no panic, the
+        /// inbound buffer stays within one read chunk of `max_inbuf` (or
+        /// of the frame it is waiting for, when that frame is larger),
+        /// queued replies stay within one reply of `max_outbuf`, and the
+        /// connection ends in replies — verdicts, errors, at most one
+        /// `Oversized` last — and a close.
+        #[test]
+        fn pump_keeps_its_budgets_on_any_stream(
+            word in any::<u64>(),
+            v2 in any::<bool>(),
+            max_inbuf in 1usize..600,
+            max_outbuf in 1usize..600,
+            chunk_len in 1usize..48,
+        ) {
+            let mut r = word | 1;
+            let stream = peer_stream(&mut r, v2);
+            let metrics = Arc::new(Metrics::new());
+            let engine = SessionEngine::new(detector(), &SessionConfig::default(), Arc::clone(&metrics))
+                .expect("deployable");
+            let limits = ServiceLimits { max_inbuf, max_outbuf, evict_every: 4 };
+            let service = Service::new(engine, metrics, limits);
+            let mut conn = Conn::new(Pipe::default());
+            let mut chunk = vec![0u8; chunk_len];
+            let mut max_reply = 0;
+            for _ in 0..20_000 {
+                // The peer sends a little more, or all the rest, then
+                // hangs up; it reads replies at a varying pace, sometimes
+                // not at all.
+                let sent = conn.stream.inbound.len();
+                if sent < stream.len() {
+                    let n = match next(&mut r) % 4 {
+                        0 => stream.len() - sent,
+                        _ => (1 + next(&mut r) as usize % 32).min(stream.len() - sent),
+                    };
+                    conn.stream.inbound.extend_from_slice(&stream[sent..sent + n]);
+                } else {
+                    conn.stream.hung_up = true;
+                }
+                conn.stream.window = match next(&mut r) % 3 {
+                    0 => 0,
+                    _ => next(&mut r) as usize % 200,
+                };
+                let (read0, pending0, written0) =
+                    (conn.stream.read_at, conn.inbuf.pending(), conn.stream.outbound.len());
+
+                pump(&mut conn, &service, &mut chunk, false);
+
+                let read = conn.stream.read_at;
+                let peak_in = pending0 + (read - read0);
+                let need = needed(&stream, read0 - pending0, read);
+                prop_assert!(
+                    peak_in < max_inbuf.max(need) + chunk_len,
+                    "{} inbound bytes buffered, cap {} (frame needs {}), chunk {}",
+                    peak_in, max_inbuf, need, chunk_len
+                );
+                let mut queued = conn.stream.outbound.clone();
+                queued.extend_from_slice(&conn.outbuf[conn.written..]);
+                let whole: usize = replies(&queued, v2).iter().map(|&(_, len)| len).sum();
+                prop_assert_eq!(whole, queued.len(), "every queued reply is whole");
+                for (_, len) in replies(&queued, v2) {
+                    max_reply = max_reply.max(len);
+                }
+                let peak_out = conn.backlog() + (conn.stream.outbound.len() - written0);
+                prop_assert!(
+                    peak_out < max_outbuf + max_reply.max(MAX_SUBMIT_REPLY),
+                    "{} bytes queued, cap {}, largest reply {}",
+                    peak_out, max_outbuf, max_reply
+                );
+                if conn.is_dead() {
+                    break;
+                }
+            }
+            prop_assert!(conn.is_dead(), "the connection never ended");
+            // The peer hung up, so the last reply may be cut short.
+            let replies = replies(&conn.stream.outbound, v2);
+            let oversized = replies
+                .iter()
+                .position(|(f, _)| matches!(f, Frame::Error { code: ErrorCode::Oversized, .. }));
+            if let Some(at) = oversized {
+                prop_assert_eq!(at, replies.len() - 1, "nothing follows the Oversized reply");
+            }
+            for (frame, _) in &replies {
+                prop_assert!(
+                    matches!(frame, Frame::Hello { .. } | Frame::Verdict { .. } | Frame::Error { .. }),
+                    "unexpected reply {:?}", frame
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn submit_replies_fit_their_budget() {
+        // The longest Verdict: u64::MAX ids and the longest confidence
+        // `Display` (the smallest subnormal); the longest per-item Error.
+        let verdict = Frame::Verdict {
+            host_id: u64::MAX,
+            seq: u64::MAX,
+            verdict: Some(Verdict::Malware {
+                class: AppClass::Backdoor,
+                confidence: 5e-324,
+            }),
+        };
+        let errors = [
+            SubmitError::BadLength {
+                expected: usize::MAX,
+                got: usize::MAX,
+            },
+            SubmitError::OutOfOrder {
+                last: u64::MAX,
+                got: u64::MAX,
+            },
+            SubmitError::BadValue { index: usize::MAX },
+        ];
+        for format in [WireFormat::V1Json, WireFormat::V2Binary] {
+            assert!(framed(format, &verdict).len() <= MAX_SUBMIT_REPLY);
+            for e in &errors {
+                let error = Frame::Error {
+                    code: ErrorCode::BadLength,
+                    detail: format!("host {} seq {}: {e}", u64::MAX, u64::MAX),
+                };
+                assert!(framed(format, &error).len() <= MAX_SUBMIT_REPLY, "{e}");
+            }
         }
     }
 }

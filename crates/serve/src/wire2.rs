@@ -258,20 +258,13 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// `true` when `payload` carries a v2 `Submit` — the tag peek the server
-/// uses to route submissions to the allocation-free
-/// [`decode_submit_into`] fast path.
-// hmd-analyze: hot-path
-pub fn is_submit(payload: &[u8]) -> bool {
-    payload.first() == Some(&TAG_SUBMIT)
-}
-
 /// Decodes a v2 `Submit` payload straight into a caller-owned counter
 /// scratch buffer, returning `(host_id, seq)` — no `Frame`, no per-frame
 /// heap allocation once the scratch has grown to the fleet's arity.
 ///
-/// Returns `None` when the payload is not a well-formed Submit; callers
-/// fall back to [`decode_payload`] for the canonical error.
+/// Returns `None` when the payload is not a well-formed Submit (another
+/// tag included); callers fall back to [`decode_payload`], which decodes
+/// the other frames and words the error.
 // hmd-analyze: hot-path
 pub fn decode_submit_into(payload: &[u8], counters: &mut Vec<f64>) -> Option<(u64, u64)> {
     let mut cur = Cursor::new(payload);
@@ -491,7 +484,6 @@ mod tests {
         let mut wire = Vec::new();
         encode_into(&frame, &mut wire);
         let payload = &wire[4..];
-        assert!(is_submit(payload));
         let mut scratch = vec![f64::NAN; 2];
         let ids = decode_submit_into(payload, &mut scratch);
         assert_eq!(ids, Some((42, 1_000_000)));
@@ -518,10 +510,8 @@ mod tests {
                 "payload {payload:?} must be malformed"
             );
             let mut scratch = Vec::new();
-            // The fast path must reject (or ignore) the same bytes.
-            if is_submit(payload) {
-                assert_eq!(decode_submit_into(payload, &mut scratch), None);
-            }
+            // The fast path must reject the same bytes.
+            assert_eq!(decode_submit_into(payload, &mut scratch), None);
         }
     }
 

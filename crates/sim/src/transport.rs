@@ -119,10 +119,12 @@ impl Read for SimStream {
             buf.len().min(self.read_quota)
         };
         let n = cap.min(lane.buf.len());
-        for slot in buf.iter_mut().take(n) {
-            // VecDeque pops are O(1); n is quota- or chunk-bounded.
-            *slot = lane.buf.pop_front().unwrap_or(0);
-        }
+        // The ring's two halves, copied in bulk: `n` bytes from the front.
+        let (front, back) = lane.buf.as_slices();
+        let from_front = n.min(front.len());
+        buf[..from_front].copy_from_slice(&front[..from_front]);
+        buf[from_front..n].copy_from_slice(&back[..n - from_front]);
+        lane.buf.drain(..n);
         Ok(n)
     }
 }
