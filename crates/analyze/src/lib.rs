@@ -13,7 +13,7 @@
 //!
 //! 1. **Per file** — lexical rules ([`rules::lexical_raw`]) plus symbol
 //!    and fact extraction ([`symbols::extract`]). This phase is pure in
-//!    the file's content, which is what makes the `--cache` safe.
+//!    the file's content.
 //! 2. **Workspace-wide** — a best-effort call graph
 //!    ([`callgraph::CallGraph`]) and the interprocedural passes in
 //!    [`passes`] (transitive hot-path allocation, lock-order cycles,
@@ -24,7 +24,6 @@
 //! See `RULES` in [`rules`] for the registry, and the README's
 //! "Static analysis" section for the suppression syntax.
 
-pub mod cache;
 pub mod callgraph;
 pub mod directives;
 pub mod lexer;
@@ -34,10 +33,8 @@ pub mod rules;
 pub mod symbols;
 pub mod workspace;
 
-use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
-use std::process::Command;
 
 use rules::{Diagnostic, FileContext};
 
@@ -47,17 +44,6 @@ pub struct FileAnalysis {
     pub raw: Vec<Diagnostic>,
     /// Extracted symbols/facts (carries the path).
     pub facts: symbols::FileFacts,
-}
-
-/// Counters reported on stderr by the cached driver.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Files lexed and extracted this run.
-    pub analyzed: usize,
-    /// Files served from the cache.
-    pub cached: usize,
-    /// Total files considered.
-    pub total: usize,
 }
 
 /// Runs phase 1 on one file.
@@ -104,123 +90,20 @@ pub fn finalize(items: Vec<FileAnalysis>) -> Vec<Diagnostic> {
     out
 }
 
-/// Analyzes a set of in-memory sources. This is the seam the fixture
-/// tests use: paths are synthetic but must look workspace-relative
-/// (`crates/serve/src/x.rs`) so the path-scoped rules engage.
-pub fn analyze_texts(files: &[(&str, &str)]) -> Vec<Diagnostic> {
+/// Analyzes `(path, source)` pairs: the workspace walk's files, or the
+/// fixture tests' in-memory sources, whose synthetic paths must look
+/// workspace-relative (`crates/serve/src/x.rs`) so the path-scoped rules
+/// engage.
+pub fn analyze_texts<P: AsRef<str>, T: AsRef<str>>(files: &[(P, T)]) -> Vec<Diagnostic> {
     finalize(
         files
             .iter()
-            .map(|(path, text)| analyze_file(path, text))
+            .map(|(path, text)| analyze_file(path.as_ref(), text.as_ref()))
             .collect(),
     )
 }
 
 /// Walks the workspace at `root` and analyzes every `.rs` file.
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    Ok(analyze_workspace_cached(root, None, false)?.0)
-}
-
-/// The cached driver behind `--cache`/`--changed-only`.
-///
-/// Phase 1 is skipped for files whose content hash matches the cache (or,
-/// under `changed_only`, for cached files `git diff` does not name — those
-/// are trusted without even being read). Phase 2 always re-runs over the
-/// merged facts. Stale cache entries for deleted files are pruned on save.
-pub fn analyze_workspace_cached(
-    root: &Path,
-    cache_path: Option<&Path>,
-    changed_only: bool,
-) -> io::Result<(Vec<Diagnostic>, CacheStats)> {
-    let old = match cache_path {
-        Some(p) => cache::Cache::load(p),
-        None => cache::Cache::default(),
-    };
-    let changed: Option<BTreeSet<String>> = if changed_only {
-        git_changed_files(root)
-    } else {
-        None
-    };
-
-    let paths = workspace::collect_rust_paths(root)?;
-    let mut stats = CacheStats {
-        total: paths.len(),
-        ..CacheStats::default()
-    };
-    let mut items = Vec::with_capacity(paths.len());
-    let mut fresh = cache::Cache::default();
-    for rel in &paths {
-        if let (Some(chg), Some(e)) = (&changed, old.entries.get(rel)) {
-            if !chg.contains(rel) {
-                items.push(FileAnalysis {
-                    raw: e.raw.clone(),
-                    facts: e.facts.clone(),
-                });
-                fresh.entries.insert(rel.clone(), e.clone());
-                stats.cached += 1;
-                continue;
-            }
-        }
-        let text = std::fs::read_to_string(root.join(rel))?;
-        let hash = cache::fnv64(text.as_bytes());
-        if let Some(e) = old.entries.get(rel) {
-            if e.hash == hash {
-                items.push(FileAnalysis {
-                    raw: e.raw.clone(),
-                    facts: e.facts.clone(),
-                });
-                fresh.entries.insert(rel.clone(), e.clone());
-                stats.cached += 1;
-                continue;
-            }
-        }
-        let fa = analyze_file(rel, &text);
-        fresh.entries.insert(
-            rel.clone(),
-            cache::Entry {
-                hash,
-                raw: fa.raw.clone(),
-                facts: fa.facts.clone(),
-            },
-        );
-        items.push(fa);
-        stats.analyzed += 1;
-    }
-    if let Some(p) = cache_path {
-        // Best effort: a cache write failure must not fail the analysis.
-        if let Err(e) = fresh.save(p) {
-            eprintln!(
-                "hmd-analyze: warning: could not write cache {}: {e}",
-                p.display()
-            );
-        }
-    }
-    Ok((finalize(items), stats))
-}
-
-/// Files `git` considers changed relative to HEAD (staged, unstaged, or
-/// untracked), workspace-relative. `None` when git is unavailable or
-/// errors — callers then fall back to hash checking every file.
-fn git_changed_files(root: &Path) -> Option<BTreeSet<String>> {
-    let run = |args: &[&str]| -> Option<String> {
-        let out = Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(args)
-            .output()
-            .ok()?;
-        out.status
-            .success()
-            .then(|| String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let diff = run(&["diff", "--name-only", "HEAD"])?;
-    let untracked = run(&["ls-files", "--others", "--exclude-standard"]).unwrap_or_default();
-    Some(
-        diff.lines()
-            .chain(untracked.lines())
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .map(str::to_string)
-            .collect(),
-    )
+    Ok(analyze_texts(&workspace::collect_rust_files(root)?))
 }

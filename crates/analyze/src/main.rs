@@ -7,9 +7,9 @@
 //! cargo run -p hmd-analyze -- --list-rules    # registry with severities
 //! cargo run -p hmd-analyze -- --show-suppressed
 //! cargo run -p hmd-analyze -- --root path/to/tree
-//! cargo run -p hmd-analyze -- --cache .analyze-cache        # skip unchanged files
-//! cargo run -p hmd-analyze -- --cache C --changed-only      # trust cache for files git says are clean
 //! ```
+//!
+//! Every run reads and analyzes every `.rs` file under the root.
 
 use hmd_analyze::report::{count_denied, render_human, render_json, render_rule_list};
 use hmd_analyze::workspace::default_root;
@@ -21,8 +21,6 @@ struct Options {
     json: bool,
     show_suppressed: bool,
     list_rules: bool,
-    cache: Option<PathBuf>,
-    changed_only: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -31,8 +29,6 @@ fn parse_args() -> Result<Options, String> {
         json: false,
         show_suppressed: false,
         list_rules: false,
-        cache: None,
-        changed_only: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -49,23 +45,15 @@ fn parse_args() -> Result<Options, String> {
                     other => return Err(format!("unknown format `{other}`")),
                 }
             }
-            "--cache" => {
-                let val = args.next().ok_or("--cache needs a file argument")?;
-                opts.cache = Some(PathBuf::from(val));
-            }
-            "--changed-only" => opts.changed_only = true,
             "--show-suppressed" => opts.show_suppressed = true,
             "--list-rules" => opts.list_rules = true,
             "--help" | "-h" => {
                 return Err("usage: hmd-analyze [--root DIR] [--format human|json] \
-                     [--show-suppressed] [--list-rules] [--cache FILE] [--changed-only]"
+                     [--show-suppressed] [--list-rules]"
                     .to_string())
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
-    }
-    if opts.changed_only && opts.cache.is_none() {
-        return Err("--changed-only requires --cache (there is nothing to trust otherwise)".into());
     }
     Ok(opts)
 }
@@ -84,10 +72,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let result =
-        hmd_analyze::analyze_workspace_cached(&opts.root, opts.cache.as_deref(), opts.changed_only);
-    let (diags, stats) = match result {
-        Ok(r) => r,
+    let diags = match hmd_analyze::analyze_workspace(&opts.root) {
+        Ok(d) => d,
         Err(e) => {
             eprintln!(
                 "hmd-analyze: cannot read workspace at {}: {e}",
@@ -96,16 +82,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if opts.cache.is_some() {
-        eprintln!(
-            "hmd-analyze: analyzed {} file{}, {} from cache ({} total)",
-            stats.analyzed,
-            if stats.analyzed == 1 { "" } else { "s" },
-            stats.cached,
-            stats.total
-        );
-    }
 
     if opts.json {
         print!("{}", render_json(&diags));

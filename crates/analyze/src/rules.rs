@@ -140,7 +140,7 @@ pub fn severity_of(rule: &str) -> Severity {
 }
 
 /// Maps a rule name back to its `&'static` registry entry — the seam the
-/// cache loader uses to rebuild `Diagnostic::rule` from serialized text.
+/// interprocedural passes use to build `Diagnostic::rule` from a name.
 pub fn static_rule_name(rule: &str) -> Option<&'static str> {
     RULES
         .iter()

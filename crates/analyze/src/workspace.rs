@@ -1,4 +1,5 @@
-//! Workspace traversal: finds every `.rs` file the rules should see.
+//! Workspace traversal: finds and reads every `.rs` file the rules should
+//! see.
 //!
 //! The walk is sorted at every level so the diagnostic stream is
 //! byte-identical run to run — the linter holds itself to the same
@@ -11,26 +12,22 @@ use std::path::{Path, PathBuf};
 /// Directories never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github"];
 
-/// Collects all `.rs` files under `root`, workspace-relative with forward
-/// slashes, sorted. `vendor/` is included: the `forbid-unsafe` rule
-/// covers the shim crates too (content rules scope themselves to
-/// `crates/…` paths, so vendor code is otherwise untouched).
+/// Collects all `.rs` files under `root` with their contents,
+/// workspace-relative with forward slashes, sorted by path. `vendor/` is
+/// included: the `forbid-unsafe` rule covers the shim crates too (content
+/// rules scope themselves to `crates/…` paths, so vendor code is
+/// otherwise untouched).
 pub fn collect_rust_files(root: &Path) -> io::Result<Vec<(String, String)>> {
-    let mut files = Vec::new();
-    for rel in collect_rust_paths(root)? {
-        let text = fs::read_to_string(root.join(&rel))?;
-        files.push((rel, text));
-    }
-    Ok(files)
-}
-
-/// Like [`collect_rust_files`] but paths only — the cached driver decides
-/// per file whether the content needs reading at all.
-pub fn collect_rust_paths(root: &Path) -> io::Result<Vec<String>> {
     let mut paths = Vec::new();
     walk(root, root, &mut paths)?;
     paths.sort();
-    Ok(paths)
+    paths
+        .into_iter()
+        .map(|rel| {
+            let text = fs::read_to_string(root.join(&rel))?;
+            Ok((rel, text))
+        })
+        .collect()
 }
 
 fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {

@@ -20,7 +20,6 @@
 //! ```
 
 use crate::cost::CostModel;
-use crate::resource::FpgaResources;
 use crate::topology::ModelTopology;
 use serde::{Deserialize, Serialize};
 
@@ -130,12 +129,6 @@ pub fn throughput_per_second(cycles: u64, clock_mhz: f64) -> f64 {
     assert!(cycles > 0, "evaluation takes at least one cycle");
     assert!(clock_mhz > 0.0, "clock must be positive");
     clock_mhz * 1e6 / cycles as f64
-}
-
-/// Convenience: breakdown + totals as an [`FpgaResources`] under the same
-/// model (LUT categories only; FF/DSP come from the full cost model).
-pub fn breakdown_resources(cost: &CostModel, topo: &ModelTopology) -> FpgaResources {
-    FpgaResources::new(CostBreakdown::of(cost, topo).total_luts(), 0, 0)
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::BatchScratch;
 use crate::classifier::{Classifier, ClassifierKind, TrainError};
 use crate::data::{Dataset, SortedColumns};
 use rand::rngs::StdRng;
@@ -39,10 +38,6 @@ thread_local! {
     /// allocation-free `predict_proba_into` path.
     static BAGGING_SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-    /// Reused (projected column block, member probability matrix) scratch
-    /// for the batched `predict_proba_batch_into` path.
-    static BAGGING_BATCH: std::cell::RefCell<(BatchScratch, Vec<f64>)> =
-        const { std::cell::RefCell::new((BatchScratch::new(), Vec::new())) };
 }
 
 struct BaggedModel {
@@ -279,47 +274,6 @@ impl Classifier for Bagging {
                 m.model.predict_proba_into(projected, proba);
                 for (a, p) in out.iter_mut().zip(proba.iter()) {
                     *a += p;
-                }
-            }
-        });
-        for a in out.iter_mut() {
-            *a /= self.models.len() as f64;
-        }
-    }
-
-    // Member-major batch accumulation: each base model scores all lanes on
-    // a projected column block, then its probabilities fold into every
-    // lane's row *in member order* — the same per-lane fold the scalar
-    // path performs, so sums (and the final average) are bit-identical.
-    // hmd-analyze: hot-path
-    fn predict_proba_batch_into(&self, batch: &BatchScratch, out: &mut [f64]) {
-        assert!(!self.models.is_empty(), "Bagging not fitted");
-        let lanes = batch.n_lanes();
-        assert_eq!(
-            out.len(),
-            lanes * self.n_classes,
-            "predict_proba_batch_into: out has {} slots for {} lanes × {} classes",
-            out.len(),
-            lanes,
-            self.n_classes
-        );
-        out.fill(0.0);
-        BAGGING_BATCH.with(|s| {
-            let (projected, proba) = &mut *s.borrow_mut();
-            for m in &self.models {
-                let nc = m.model.n_classes();
-                projected.project_from(batch, &m.features);
-                proba.clear();
-                proba.resize(lanes * nc, 0.0);
-                m.model.predict_proba_batch_into(projected, proba);
-                for (out_row, member_row) in out
-                    .chunks_exact_mut(self.n_classes)
-                    .zip(proba.chunks_exact(nc))
-                {
-                    // Per-lane truncating zip, as in the scalar path.
-                    for (a, p) in out_row.iter_mut().zip(member_row.iter()) {
-                        *a += p;
-                    }
                 }
             }
         });

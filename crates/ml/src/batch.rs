@@ -5,7 +5,7 @@
 //! holds a batch in **column-major** order — all lanes' values of feature 0,
 //! then all of feature 1, … — so batched kernels
 //! ([`crate::tree::CompiledTree::predict_batch_into`], the batched MLR
-//! projection, the ensemble accumulators behind
+//! projection, AdaBoost's round accumulator behind
 //! [`crate::classifier::Classifier::predict_proba_batch_into`]) read one
 //! contiguous column per attribute instead of striding across rows.
 //!
@@ -43,7 +43,6 @@ pub struct BatchScratch {
 
 impl BatchScratch {
     /// An empty batch; storage grows on first [`reset`](Self::reset).
-    /// `const` so ensembles can keep one in `thread_local!` scratch.
     pub const fn new() -> BatchScratch {
         BatchScratch {
             cols: Vec::new(),
@@ -136,24 +135,6 @@ impl BatchScratch {
         out.clear();
         out.extend((0..self.n_features).map(|f| self.cols[f * self.n_lanes + lane]));
     }
-
-    /// Copies the columns of `features` (by index) from `src` into `self`,
-    /// reshaping `self` to `features.len() × src.n_lanes()`. This is the
-    /// SoA equivalent of a per-member feature projection: selecting a
-    /// column subset is `features.len()` contiguous copies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any feature index is out of range for `src`.
-    // hmd-analyze: hot-path
-    pub fn project_from(&mut self, src: &BatchScratch, features: &[usize]) {
-        self.n_features = features.len();
-        self.n_lanes = src.n_lanes;
-        self.cols.clear();
-        for &f in features {
-            self.cols.extend_from_slice(src.col(f));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -190,19 +171,6 @@ mod tests {
         b.set(1, 1, 9.0);
         b.reset(2, 2);
         assert_eq!(b.col(1), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn project_from_selects_columns() {
-        let mut b = BatchScratch::new();
-        b.reset(3, 2);
-        b.set_lane(0, &[1.0, 2.0, 3.0]);
-        b.set_lane(1, &[4.0, 5.0, 6.0]);
-        let mut p = BatchScratch::new();
-        p.project_from(&b, &[2, 0]);
-        assert_eq!(p.n_features(), 2);
-        assert_eq!(p.col(0), &[3.0, 6.0]);
-        assert_eq!(p.col(1), &[1.0, 4.0]);
     }
 
     #[test]

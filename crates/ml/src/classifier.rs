@@ -114,7 +114,7 @@ pub trait Classifier: fmt::Debug + Send + Sync {
     /// `predict_proba_into` call on that lane's feature row. The default
     /// implementation guarantees this by construction (it gathers each
     /// lane and calls the scalar path); batch-shaped overrides (compiled
-    /// trees, MLR, ensembles) must preserve the scalar per-lane operation
+    /// trees, MLR, AdaBoost) must preserve the scalar per-lane operation
     /// order exactly.
     ///
     /// # Panics

@@ -76,17 +76,6 @@ impl Mlr {
         self
     }
 
-    /// Sets the iteration cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_iters == 0`.
-    pub fn with_max_iters(mut self, max_iters: usize) -> Mlr {
-        assert!(max_iters > 0, "need at least one iteration");
-        self.max_iters = max_iters;
-        self
-    }
-
     /// The fitted weight matrix (`classes × (features + 1)`), if fitted.
     pub fn weights(&self) -> Option<&[Vec<f64>]> {
         self.fitted.as_ref().map(|f| f.weights.as_slice())

@@ -142,12 +142,6 @@ impl JRip {
         }
     }
 
-    /// Enables or disables the rule-revision (optimization) pass.
-    pub fn with_optimization(mut self, optimize: bool) -> JRip {
-        self.optimize = optimize;
-        self
-    }
-
     /// Number of learned rules (excluding the default), if fitted.
     pub fn rule_count(&self) -> Option<usize> {
         self.fitted.as_ref().map(|f| f.rules.len())

@@ -25,7 +25,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::BatchScratch;
 use crate::classifier::{Classifier, ClassifierKind, TrainError};
 use crate::data::Dataset;
 use crate::logistic::Mlr;
@@ -40,10 +39,6 @@ thread_local! {
     /// [`Stacking`].
     static STACKING_SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-    /// Reused member batch probability matrix for [`Voting`]'s
-    /// `predict_proba_batch_into`.
-    static VOTING_BATCH: std::cell::RefCell<Vec<f64>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Probability-averaging vote over heterogeneous base classifiers.
@@ -128,46 +123,6 @@ impl Classifier for Voting {
                 m.predict_proba_into(x, member);
                 for (a, p) in out.iter_mut().zip(member.iter()) {
                     *a += p;
-                }
-            }
-        });
-        for a in out.iter_mut() {
-            *a /= self.models.len() as f64;
-        }
-    }
-
-    // Member-major accumulation: each committee member scores the whole
-    // batch once, then its probabilities fold into every lane's row in
-    // member order — the same per-lane fold the scalar path performs, so
-    // sums (and the final average) are bit-identical.
-    // hmd-analyze: hot-path
-    fn predict_proba_batch_into(&self, batch: &BatchScratch, out: &mut [f64]) {
-        assert!(!self.models.is_empty(), "Voting not fitted");
-        let lanes = batch.n_lanes();
-        assert_eq!(
-            out.len(),
-            lanes * self.n_classes,
-            "predict_proba_batch_into: out has {} slots for {} lanes × {} classes",
-            out.len(),
-            lanes,
-            self.n_classes
-        );
-        out.fill(0.0);
-        VOTING_BATCH.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            for m in &self.models {
-                let nc = m.n_classes();
-                buf.clear();
-                buf.resize(lanes * nc, 0.0);
-                m.predict_proba_batch_into(batch, &mut buf);
-                for (out_row, member_row) in out
-                    .chunks_exact_mut(self.n_classes)
-                    .zip(buf.chunks_exact(nc))
-                {
-                    // Per-lane truncating zip, as in the scalar path.
-                    for (a, p) in out_row.iter_mut().zip(member_row.iter()) {
-                        *a += p;
-                    }
                 }
             }
         });

@@ -410,20 +410,6 @@ impl J48 {
         self
     }
 
-    /// Sets the pruning confidence factor in `(0, 0.5]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn with_confidence(mut self, confidence: f64) -> J48 {
-        assert!(
-            confidence > 0.0 && confidence <= 0.5,
-            "confidence must be in (0, 0.5], got {confidence}"
-        );
-        self.confidence = confidence;
-        self
-    }
-
     /// Total node count of the fitted tree (0 if unfitted).
     pub fn node_count(&self) -> usize {
         self.root.as_ref().map_or(0, Node::count_nodes)

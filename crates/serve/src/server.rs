@@ -22,10 +22,10 @@
 //! The in-flight budget is explicit — when
 //! [`ServeConfig::max_connections`] is reached, new connections get one
 //! best-effort `Error{overloaded}` frame and are closed (load shedding),
-//! never queued unboundedly. Per-connection backpressure is two-sided:
-//! [`ServeConfig::max_outbuf`] stops *reads* while a peer is slow to
-//! drain replies, and [`ServeConfig::max_inbuf`] bounds the undecoded
-//! inbound buffer.
+//! never queued unboundedly. Per-connection backpressure is two-sided
+//! ([`ServeConfig::limits`]): [`ServiceLimits::max_outbuf`] stops *reads*
+//! while a peer is slow to drain replies, and
+//! [`ServiceLimits::max_inbuf`] bounds the undecoded inbound buffer.
 //!
 //! Protocol negotiation: connections start in v1 JSON; a client that
 //! sends `Hello{version: 2}` is switched to the packed binary format
@@ -73,19 +73,9 @@ pub struct ServeConfig {
     /// In-flight connection budget; accepts beyond it are shed with
     /// `Error{overloaded}`.
     pub max_connections: usize,
-    /// Cap on bytes queued for one connection before the server stops
-    /// reading from it until the backlog flushes (write-side
-    /// backpressure).
-    pub max_outbuf: usize,
-    /// Cap on undecoded inbound bytes buffered for one connection before
-    /// the server stops reading until the decoder catches up (read-side
-    /// backpressure). Distinct from `max_outbuf`: a pipelining client can
-    /// legitimately burst frames while replies drain slowly, and the two
-    /// directions deserve independent budgets.
-    pub max_inbuf: usize,
-    /// Run the idle-session sweep every this many accepted submits.
-    /// `0` disables periodic sweeps.
-    pub evict_every: u64,
+    /// Per-connection backpressure budgets and the idle-session sweep
+    /// cadence.
+    pub limits: ServiceLimits,
     /// Per-host session behaviour.
     pub session: SessionConfig,
 }
@@ -96,9 +86,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 0,
             max_connections: 1024,
-            max_outbuf: 1 << 20,
-            max_inbuf: 256 << 10,
-            evict_every: 1 << 16,
+            limits: ServiceLimits::default(),
             session: SessionConfig::default(),
         }
     }
@@ -250,13 +238,8 @@ pub fn serve(detector: TwoSmartDetector, config: ServeConfig) -> Result<ServerHa
         config.workers
     };
     let inboxes: Vec<Arc<Inbox>> = (0..workers).map(|_| Arc::new(Inbox::new())).collect();
-    let limits = ServiceLimits {
-        max_outbuf: config.max_outbuf,
-        max_inbuf: config.max_inbuf,
-        evict_every: config.evict_every,
-    };
     let shared = Arc::new(Shared {
-        service: Service::new(engine, metrics, limits),
+        service: Service::new(engine, metrics, config.limits.clone()),
         stop: AtomicBool::new(false),
         conns: AtomicUsize::new(0),
         inboxes,

@@ -23,9 +23,10 @@ use crate::wire2;
 use std::io::{ErrorKind, Read, Write};
 use std::sync::Arc;
 
-/// Per-connection budgets and sweep cadence — the knobs [`pump`] consults,
-/// split out of the TCP `ServeConfig` so transports that have no listen
-/// address or worker pool can still configure the service core.
+/// Per-connection budgets and sweep cadence — the knobs [`pump`] consults.
+/// The TCP server takes them in `ServeConfig::limits`; transports that
+/// have no listen address or worker pool (the simulation, in-memory
+/// pipes) pass them to [`Service::new`] directly.
 #[derive(Debug, Clone)]
 pub struct ServiceLimits {
     /// Cap on bytes queued for one connection before the service stops
@@ -106,6 +107,9 @@ pub struct Conn<T> {
     written: usize,
     /// Close after the outbuf flushes (oversized frame / fatal error).
     close_after_flush: bool,
+    /// The peer shut down its write half (`read` returned `Ok(0)`): read
+    /// no more, answer the whole frames already buffered, then close.
+    peer_closed: bool,
     dead: bool,
 }
 
@@ -123,6 +127,7 @@ impl<T> Conn<T> {
             evict_scratch: Vec::new(),
             written: 0,
             close_after_flush: false,
+            peer_closed: false,
             dead: false,
         }
     }
@@ -143,8 +148,10 @@ impl<T> Conn<T> {
         self.outbuf.len() - self.written
     }
 
-    /// Whether the connection has been closed (peer gone, fatal error
-    /// flushed). Dead connections are dropped by the caller.
+    /// Whether the connection has been closed: a fatal error flushed, the
+    /// peer hung up and every whole frame it sent was answered and
+    /// flushed, or the transport failed. Dead connections are dropped by
+    /// the caller.
     pub fn is_dead(&self) -> bool {
         self.dead
     }
@@ -215,7 +222,13 @@ fn next_step<T>(conn: &mut Conn<T>) -> Step {
 ///
 /// Transport contract: `read`/`write` may return `WouldBlock` (nothing to
 /// move right now), `Interrupted` (retry), `Ok(0)` on read for
-/// peer-closed; any other error kills the connection.
+/// peer-closed; any other error kills the connection. A peer that closes
+/// only its write half (TCP half-close) still gets a reply to every whole
+/// frame it sent: the connection reads no more, answers what is
+/// buffered, and dies once those replies are flushed. A truncated frame
+/// left in the buffer is dropped silently. The hang-up itself moves no
+/// byte, so a half-closed peer that never reads its replies reports no
+/// progress and backs off like any idle connection.
 pub fn pump<T: Read + Write>(
     conn: &mut Conn<T>,
     service: &Service,
@@ -230,12 +243,16 @@ pub fn pump<T: Read + Write>(
     // instead of stalling the connection.
     let inbuf_full =
         |conn: &Conn<T>| conn.inbuf.pending() >= service.limits.max_inbuf.max(conn.inbuf.needed());
-    if !conn.close_after_flush && conn.backlog() < service.limits.max_outbuf && !inbuf_full(conn) {
+    if !conn.close_after_flush
+        && !conn.peer_closed
+        && conn.backlog() < service.limits.max_outbuf
+        && !inbuf_full(conn)
+    {
         loop {
             match conn.stream.read(chunk) {
                 Ok(0) => {
-                    conn.dead = true;
-                    return true;
+                    conn.peer_closed = true;
+                    break;
                 }
                 Ok(n) => {
                     progress = true;
@@ -248,7 +265,7 @@ pub fn pump<T: Read + Write>(
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.dead = true;
-                    return true;
+                    return progress;
                 }
             }
         }
@@ -270,9 +287,13 @@ pub fn pump<T: Read + Write>(
     // as a reply of `MAX_SUBMIT_REPLY` bytes, and the batch drains before
     // those could cross the cap, so the queue ends at most one reply past
     // it.
+    let mut drained = false;
     while !conn.close_after_flush && conn.backlog() < service.limits.max_outbuf {
         match next_step(conn) {
-            Step::Idle => break,
+            Step::Idle => {
+                drained = true;
+                break;
+            }
             Step::Frame(frame) => {
                 progress = true;
                 service.metrics.bump(&service.metrics.frames_in);
@@ -341,7 +362,7 @@ pub fn pump<T: Read + Write>(
         match conn.stream.write(&conn.outbuf[conn.written..]) {
             Ok(0) => {
                 conn.dead = true;
-                return true;
+                return progress;
             }
             Ok(n) => {
                 progress = true;
@@ -351,14 +372,15 @@ pub fn pump<T: Read + Write>(
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
                 conn.dead = true;
-                return true;
+                return progress;
             }
         }
     }
     if conn.backlog() == 0 {
         conn.outbuf.clear();
         conn.written = 0;
-        if conn.close_after_flush {
+        // After a hang-up, close once no whole frame is left to answer.
+        if conn.close_after_flush || (conn.peer_closed && drained) {
             conn.dead = true;
         }
     }
@@ -536,6 +558,14 @@ mod tests {
             .clone()
     }
 
+    fn service(limits: ServiceLimits) -> Service {
+        let metrics = Arc::new(Metrics::new());
+        let engine =
+            SessionEngine::new(detector(), &SessionConfig::default(), Arc::clone(&metrics))
+                .expect("deployable");
+        Service::new(engine, metrics, limits)
+    }
+
     /// The peer's end of an in-memory connection: what it has sent so far
     /// (`inbound`), whether it has hung up, and what the service wrote
     /// back. The service may write `window` more bytes before a write
@@ -676,6 +706,23 @@ mod tests {
         }
     }
 
+    /// Replies the service owes for `stream`: one per whole frame, up to
+    /// and including the first whose length prefix is over the limit.
+    fn whole_frames(stream: &[u8]) -> usize {
+        let (mut at, mut n) = (0, 0);
+        while let Some(prefix) = stream.get(at..at + 4) {
+            let len = u32::from_be_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
+            if len > MAX_FRAME_BYTES {
+                return n + 1;
+            }
+            if at + 4 + len > stream.len() {
+                break;
+            }
+            (at, n) = (at + 4 + len, n + 1);
+        }
+        n
+    }
+
     /// The whole replies in `bytes`, as `(frame, framed length)`.
     fn replies(bytes: &[u8], v2: bool) -> Vec<(Frame, usize)> {
         let mut fb = FrameBuffer::new();
@@ -703,8 +750,9 @@ mod tests {
         /// inbound buffer stays within one read chunk of `max_inbuf` (or
         /// of the frame it is waiting for, when that frame is larger),
         /// queued replies stay within one reply of `max_outbuf`, and the
-        /// connection ends in replies — verdicts, errors, at most one
-        /// `Oversized` last — and a close.
+        /// connection ends in one whole reply per whole frame — verdicts,
+        /// errors, at most one `Oversized` last — and a close, although
+        /// the peer hangs up before it has read them.
         #[test]
         fn pump_keeps_its_budgets_on_any_stream(
             word in any::<u64>(),
@@ -715,11 +763,7 @@ mod tests {
         ) {
             let mut r = word | 1;
             let stream = peer_stream(&mut r, v2);
-            let metrics = Arc::new(Metrics::new());
-            let engine = SessionEngine::new(detector(), &SessionConfig::default(), Arc::clone(&metrics))
-                .expect("deployable");
-            let limits = ServiceLimits { max_inbuf, max_outbuf, evict_every: 4 };
-            let service = Service::new(engine, metrics, limits);
+            let service = service(ServiceLimits { max_inbuf, max_outbuf, evict_every: 4 });
             let mut conn = Conn::new(Pipe::default());
             let mut chunk = vec![0u8; chunk_len];
             let mut max_reply = 0;
@@ -772,8 +816,14 @@ mod tests {
                 }
             }
             prop_assert!(conn.is_dead(), "the connection never ended");
-            // The peer hung up, so the last reply may be cut short.
             let replies = replies(&conn.stream.outbound, v2);
+            let whole: usize = replies.iter().map(|&(_, len)| len).sum();
+            prop_assert_eq!(
+                whole,
+                conn.stream.outbound.len(),
+                "the peer received a cut-off reply"
+            );
+            prop_assert_eq!(replies.len(), whole_frames(&stream), "one reply per whole frame");
             let oversized = replies
                 .iter()
                 .position(|(f, _)| matches!(f, Frame::Error { code: ErrorCode::Oversized, .. }));
@@ -787,6 +837,81 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_half_closed_peer_gets_every_reply_then_a_close() {
+        let service = service(ServiceLimits::default());
+        let mut conn = Conn::new(Pipe {
+            inbound: framed(WireFormat::V1Json, &Frame::Hello { version: 2 }),
+            window: usize::MAX,
+            ..Pipe::default()
+        });
+        let mut chunk = vec![0u8; 4096];
+        pump(&mut conn, &service, &mut chunk, false);
+        assert_eq!(conn.format(), WireFormat::V2Binary);
+
+        // Three Submits and the hang-up arrive in one pass.
+        for seq in 0..3 {
+            let submit = Frame::Submit {
+                host_id: 7,
+                seq,
+                counters: vec![1e5, 2e4, 3e3, 4e2],
+            };
+            conn.stream
+                .inbound
+                .extend_from_slice(&framed(WireFormat::V2Binary, &submit));
+        }
+        conn.stream.hung_up = true;
+        assert!(pump(&mut conn, &service, &mut chunk, false));
+
+        let replies = replies(&conn.stream.outbound, true);
+        assert_eq!(replies[0].0, Frame::Hello { version: 2 });
+        let seqs: Vec<u64> = replies[1..]
+            .iter()
+            .map(|(frame, _)| match frame {
+                Frame::Verdict {
+                    host_id: 7, seq, ..
+                } => *seq,
+                other => panic!("expected a Verdict, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        assert!(conn.is_dead(), "the connection outlived its last reply");
+    }
+
+    #[test]
+    fn a_half_closed_peer_that_never_reads_makes_no_progress() {
+        let service = service(ServiceLimits::default());
+        let submit = Frame::Submit {
+            host_id: 7,
+            seq: 0,
+            counters: vec![1e5, 2e4, 3e3, 4e2],
+        };
+        let mut conn = Conn::new(Pipe {
+            inbound: framed(WireFormat::V1Json, &submit),
+            hung_up: true,
+            ..Pipe::default()
+        });
+        let mut chunk = vec![0u8; 4096];
+        assert!(
+            pump(&mut conn, &service, &mut chunk, false),
+            "the frame was read"
+        );
+        for _ in 0..3 {
+            assert!(!pump(&mut conn, &service, &mut chunk, false));
+            assert!(!conn.is_dead() && conn.backlog() > 0, "the reply waits");
+        }
+        conn.stream.window = usize::MAX;
+        assert!(
+            pump(&mut conn, &service, &mut chunk, false),
+            "the reply moved"
+        );
+        assert!(conn.is_dead());
+        assert!(matches!(
+            replies(&conn.stream.outbound, false)[..],
+            [(Frame::Verdict { seq: 0, .. }, _)]
+        ));
     }
 
     #[test]

@@ -788,11 +788,6 @@ impl SessionEngine {
         self.cascade
     }
 
-    /// Counters each `Submit` must carry, in programmed-event order.
-    pub fn expected_arity(&self) -> usize {
-        self.template.arity()
-    }
-
     /// Locks a shard, recovering from poisoning: a worker that panicked
     /// while holding the lock must not wedge every other worker mapped to
     /// this shard. Session state stays consistent under recovery because

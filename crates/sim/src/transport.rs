@@ -26,8 +26,6 @@ struct Lane {
     /// Set when the writing endpoint hangs up. Readers drain the
     /// remaining bytes, then see `Ok(0)` (EOF), like TCP after FIN.
     closed: bool,
-    /// Total bytes ever written into this lane (wire accounting).
-    transferred: u64,
 }
 
 impl Lane {
@@ -35,7 +33,6 @@ impl Lane {
         Rc::new(RefCell::new(Lane {
             buf: VecDeque::new(),
             closed: false,
-            transferred: 0,
         }))
     }
 }
@@ -86,21 +83,6 @@ impl SimStream {
         self.rx.borrow_mut().closed = true;
         self.tx.borrow_mut().closed = true;
     }
-
-    /// Bytes buffered and not yet read by this endpoint.
-    pub fn pending(&self) -> usize {
-        self.rx.borrow().buf.len()
-    }
-
-    /// Whether the peer has hung up (bytes may still be pending).
-    pub fn peer_closed(&self) -> bool {
-        self.rx.borrow().closed
-    }
-
-    /// Lifetime bytes the peer has written toward this endpoint.
-    pub fn bytes_in(&self) -> u64 {
-        self.rx.borrow().transferred
-    }
 }
 
 impl Read for SimStream {
@@ -144,7 +126,6 @@ impl Write for SimStream {
             buf.len().min(self.write_quota)
         };
         lane.buf.extend(&buf[..n]);
-        lane.transferred += n as u64;
         Ok(n)
     }
 

@@ -251,7 +251,7 @@ fn fatal_error_is_queued_once_for_a_slow_reader() {
     // backpressure does not kick in before the garbage tail is decoded.
     const DRAINS: usize = 20_000;
     let detector = trained_detector();
-    let handle = start_server_cfg(detector, 1, 16, |c| c.max_outbuf = 64 << 20);
+    let handle = start_server_cfg(detector, 1, 16, |c| c.limits.max_outbuf = 64 << 20);
     let addr = handle.addr();
     let mut rogue = DetectorClient::connect(addr, Duration::from_secs(10)).unwrap();
     let drain = encode(&Frame::Drain { stats: None });
