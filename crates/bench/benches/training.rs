@@ -1,11 +1,13 @@
 //! Training-path benchmarks: single J48 fit, ensemble fits, grid cells.
 //!
 //! The J48 rows are the workloads the presorted-column training engine
-//! targets: one J48 costs O(nodes × attrs × n log n) in per-node sorts on
-//! the naive path, and Bagging/AdaBoost re-pay it per member. The MLP rows
-//! time the grid's most expensive cells, and the JRip rows the same two
-//! cell configurations for RIPPER. Results are recorded in
-//! `BENCH_training.json`.
+//! targets: growing a J48 by sorting at every node costs
+//! O(nodes × attrs × n log n), and Bagging/AdaBoost re-pay it per member.
+//! That grower is a test-only oracle (`fit_reference` in `tree.rs`), so no
+//! bench times it; `BENCH_training.json` keeps its figures as these rows'
+//! `before_ns`. The MLP rows time the grid's most expensive cells, and the
+//! JRip rows the same two cell configurations for RIPPER. Results are
+//! recorded in `BENCH_training.json`.
 //!
 //! The dataset is the paper-scale Virus-vs-benign problem (the largest
 //! per-class binary dataset of the full 3121-application corpus) over all
@@ -28,16 +30,6 @@ fn training_benches(c: &mut Criterion) {
     let cols = SortedColumns::new(&bin);
     let mut group = c.benchmark_group("train");
 
-    // Naive oracle path (per-node sorts) — the pre-engine baseline, kept in
-    // the same binary so before/after numbers share one build and one run.
-    group.bench_function("j48_fit_naive", |b| {
-        b.iter(|| {
-            let mut tree = J48::new();
-            tree.fit_naive(black_box(&bin)).expect("J48 fits");
-            tree.node_count()
-        })
-    });
-
     // Default fit: builds its own presorted cache, then grows off it.
     group.bench_function("j48_fit", |b| {
         b.iter(|| {
@@ -57,27 +49,10 @@ fn training_benches(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("bagging50_fit_naive", |b| {
-        b.iter(|| {
-            let mut ens = Bagging::new(ClassifierKind::J48, 50, exp.seed);
-            ens.fit_naive(black_box(&bin)).expect("Bagging fits");
-            ens.ensemble_size()
-        })
-    });
-
     group.bench_function("bagging50_fit", |b| {
         b.iter(|| {
             let mut ens = Bagging::new(ClassifierKind::J48, 50, exp.seed);
             ens.fit(black_box(&bin)).expect("Bagging fits");
-            ens.ensemble_size()
-        })
-    });
-
-    group.bench_function("adaboost_fit_naive", |b| {
-        b.iter(|| {
-            let mut ens =
-                AdaBoost::new(ClassifierKind::J48, AdaBoost::DEFAULT_ITERATIONS, exp.seed);
-            ens.fit_naive(black_box(&bin)).expect("AdaBoost fits");
             ens.ensemble_size()
         })
     });

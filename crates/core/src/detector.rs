@@ -527,27 +527,13 @@ impl TwoSmartDetector {
         candidates.extend(confs.windows(2).map(|w| w[0] + (w[1] - w[0]) / 2.0));
 
         let f_at = |t: f64| -> f64 {
-            let mut tp = 0.0;
-            let mut fp = 0.0;
-            let mut fn_ = 0.0;
-            for s in &samples {
+            f_measure(samples.iter().map(|s| {
                 let predicted = match s.conf {
                     None => false,
                     Some(conf) => conf >= t || s.always_malware,
                 };
-                match (s.truth, predicted) {
-                    (true, true) => tp += 1.0,
-                    (false, true) => fp += 1.0,
-                    (true, false) => fn_ += 1.0,
-                    (false, false) => {}
-                }
-            }
-            if tp == 0.0 {
-                return 0.0;
-            }
-            let p = tp / (tp + fp);
-            let r = tp / (tp + fn_);
-            2.0 * p * r / (p + r)
+                (s.truth, predicted)
+            }))
         };
 
         let best_f = candidates
@@ -608,25 +594,10 @@ impl TwoSmartDetector {
     /// prediction counts whenever [`detect`](Self::detect) flags malware of
     /// *any* class (Fig. 5b's comparison against single-stage HMDs).
     pub fn binary_f_measure(&self, test: &Dataset) -> f64 {
-        let mut tp = 0.0;
-        let mut fp = 0.0;
-        let mut fn_ = 0.0;
-        for i in 0..test.len() {
+        f_measure((0..test.len()).map(|i| {
             let truth = test.label_of(i) != AppClass::Benign.label();
-            let predicted = self.detect(test.features_of(i)).is_malware();
-            match (truth, predicted) {
-                (true, true) => tp += 1.0,
-                (false, true) => fp += 1.0,
-                (true, false) => fn_ += 1.0,
-                (false, false) => {}
-            }
-        }
-        if tp == 0.0 {
-            return 0.0;
-        }
-        let p = tp / (tp + fp);
-        let r = tp / (tp + fn_);
-        2.0 * p * r / (p + r)
+            (truth, self.detect(test.features_of(i)).is_malware())
+        }))
     }
 
     /// Per-class F-measure of the full two-stage pipeline on a 5-class
@@ -634,29 +605,38 @@ impl TwoSmartDetector {
     /// a prediction counts when [`detect`](Self::detect) returns
     /// `Malware { class: c, .. }` (Fig. 5a's 2SMaRT bars).
     pub fn class_f_measure(&self, test: &Dataset, class: AppClass) -> f64 {
-        let mut tp = 0.0;
-        let mut fp = 0.0;
-        let mut fn_ = 0.0;
-        for i in 0..test.len() {
+        f_measure((0..test.len()).map(|i| {
             let truth = test.label_of(i) == class.label();
             let predicted = matches!(
                 self.detect(test.features_of(i)),
                 Verdict::Malware { class: c, .. } if c == class
             );
-            match (truth, predicted) {
-                (true, true) => tp += 1.0,
-                (false, true) => fp += 1.0,
-                (true, false) => fn_ += 1.0,
-                (false, false) => {}
-            }
-        }
-        if tp == 0.0 {
-            return 0.0;
-        }
-        let p = tp / (tp + fp);
-        let r = tp / (tp + fn_);
-        2.0 * p * r / (p + r)
+            (truth, predicted)
+        }))
     }
+}
+
+/// F-measure of `(truth, predicted)` pairs, positives being `true`: 0 when
+/// nothing is a true positive, else the harmonic mean of precision and
+/// recall.
+fn f_measure(outcomes: impl Iterator<Item = (bool, bool)>) -> f64 {
+    let mut tp = 0.0;
+    let mut fp = 0.0;
+    let mut fn_ = 0.0;
+    for outcome in outcomes {
+        match outcome {
+            (true, true) => tp += 1.0,
+            (false, true) => fp += 1.0,
+            (true, false) => fn_ += 1.0,
+            (false, false) => {}
+        }
+    }
+    if tp == 0.0 {
+        return 0.0;
+    }
+    let p = tp / (tp + fp);
+    let r = tp / (tp + fn_);
+    2.0 * p * r / (p + r)
 }
 
 #[cfg(test)]

@@ -234,8 +234,8 @@ impl SpecializedDetector {
             (false, ClassifierKind::J48) => {
                 // No materialized view at all: local attribute `a` of the
                 // tree reads column `evt_idx[a]`, the same layout
-                // `select_events` + fit would produce. (`J48::build`
-                // ignores its seed.)
+                // `select_events` + fit would produce.
+                // (`ClassifierKind::build` ignores a J48's seed.)
                 let mut tree = J48::new();
                 tree.fit_presorted(data, cols, None, Some(&evt_idx))?;
                 Box::new(tree)
@@ -428,6 +428,7 @@ mod tests {
     use super::*;
     use crate::pipeline::class_dataset;
     use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
+    use hmd_ml::model::AnyModel;
 
     fn virus_data() -> Dataset {
         let corpus = CorpusBuilder::new(CorpusSpec::tiny()).build();
@@ -517,6 +518,38 @@ mod tests {
             .records()
             .iter()
             .all(|r| !det.is_malware(&r.features)));
+    }
+
+    #[test]
+    fn train_cached_matches_train_in_every_grid_cell() {
+        // run_grid trains through `train_cached`; the ablation, table5, roc
+        // and calibration paths through `train`. Each of the grid's cells
+        // must get the same detector either way.
+        let data = virus_data();
+        let cols = SortedColumns::new(&data);
+        let json = |d: &SpecializedDetector| {
+            let model = AnyModel::from_classifier(d.model()).expect("a known model");
+            serde_json::to_string(&model).expect("the model serializes")
+        };
+        for kind in ClassifierKind::ALL {
+            for (hpcs, boosted) in [(16, false), (8, false), (4, false), (4, true)] {
+                let config = Stage2Config::new(kind)
+                    .with_hpcs(hpcs)
+                    .with_boosting(boosted);
+                let cell = format!("{kind} at {hpcs} HPCs, boosted {boosted}");
+                let plain = SpecializedDetector::train(&data, AppClass::Virus, &config, 3).unwrap();
+                let cached =
+                    SpecializedDetector::train_cached(&data, &cols, AppClass::Virus, &config, 3)
+                        .unwrap();
+                assert_eq!(plain.events(), cached.events(), "{cell}");
+                assert_eq!(
+                    plain.threshold().to_bits(),
+                    cached.threshold().to_bits(),
+                    "{cell}"
+                );
+                assert_eq!(json(&plain), json(&cached), "{cell}");
+            }
+        }
     }
 
     #[test]

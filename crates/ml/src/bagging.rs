@@ -124,11 +124,11 @@ impl Bagging {
 
     /// Fits against a shared [`SortedColumns`] cache.
     ///
-    /// Bit-identical to [`fit`](Classifier::fit): every member draws the
-    /// same bootstrap and feature subset from the same per-member RNG; a
-    /// J48 base then consumes the cache through a per-row multiplicity
-    /// array instead of a materialized resample. The cache is read-only
-    /// shared state, so members still train in parallel.
+    /// Every member draws the same bootstrap and feature subset from the
+    /// same per-member RNG as a materializing fit; a J48 base then consumes
+    /// the cache through a per-row multiplicity array instead of a
+    /// materialized resample, and grows bit-identical members. The cache is
+    /// read-only shared state, so members still train in parallel.
     ///
     /// # Errors
     ///
@@ -149,18 +149,6 @@ impl Bagging {
             "SortedColumns column count must match dataset"
         );
         self.fit_impl(data, Some(cols))
-    }
-
-    /// Fits via the materializing reference path: every member trains on an
-    /// explicitly constructed bootstrap resample, bypassing the
-    /// [`SortedColumns`] fast path entirely. This is the oracle the
-    /// property-test suite compares the cached path against bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::TooFewInstances`] if the dataset has fewer than 2 rows.
-    pub fn fit_naive(&mut self, data: &Dataset) -> Result<(), TrainError> {
-        self.fit_impl(data, None)
     }
 
     fn fit_impl(&mut self, data: &Dataset, cols: Option<&SortedColumns>) -> Result<(), TrainError> {
@@ -184,8 +172,9 @@ impl Bagging {
                 (ClassifierKind::J48, Some(cols)) => {
                     // Presorted path: same RNG draws as the materializing
                     // path below, expressed as row multiplicities over the
-                    // shared cache. (`J48::build` ignores its seed, so
-                    // constructing the tree directly changes nothing.)
+                    // shared cache. (`ClassifierKind::build` ignores a
+                    // J48's seed, so constructing the tree directly changes
+                    // nothing.)
                     let draws = data.weighted_resample_indices(&uniform, n, &mut rng);
                     let mut features: Vec<usize> = (0..d).collect();
                     if keep < d {
@@ -215,19 +204,8 @@ impl Bagging {
                     } else {
                         sample
                     };
-                    let model: Box<dyn Classifier> = if base == ClassifierKind::J48 {
-                        // Reached only from `fit_naive`: the oracle grows
-                        // members with the historical per-node-sort path
-                        // (`fit` would silently re-enter the presorted
-                        // engine through J48's default fit).
-                        let mut tree = crate::tree::J48::new();
-                        tree.fit_naive(&view)?;
-                        Box::new(tree)
-                    } else {
-                        let mut model = base.build(seed.wrapping_add(t as u64 + 1));
-                        model.fit(&view)?;
-                        model
-                    };
+                    let mut model = base.build(seed.wrapping_add(t as u64 + 1));
+                    model.fit(&view)?;
                     Ok(BaggedModel { model, features })
                 }
             }
@@ -303,7 +281,36 @@ impl Classifier for Bagging {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::arb;
     use crate::metrics::ConfusionMatrix;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn cached_fit_matches_the_materializing_fit(
+            data in arb::dupey_dataset(),
+            seed in any::<u64>(),
+        ) {
+            let ensemble = || {
+                Bagging::new(ClassifierKind::J48, 5, seed).with_feature_fraction(0.75)
+            };
+            let mut materialized = ensemble();
+            materialized.fit_impl(&data, None).expect("materializing fit");
+            let cols = SortedColumns::new(&data);
+            let mut cached = ensemble();
+            cached.fit_cached(&data, &cols).expect("cached fit");
+            for i in 0..data.len() {
+                // Members are trees with exact-f64 vote averaging: identical
+                // models give bitwise-equal probabilities.
+                prop_assert_eq!(
+                    materialized.predict_proba(data.features_of(i)),
+                    cached.predict_proba(data.features_of(i))
+                );
+            }
+        }
+    }
 
     fn noisy_band() -> Dataset {
         let mut features = Vec::new();

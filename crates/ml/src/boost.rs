@@ -148,10 +148,10 @@ impl AdaBoost {
 
     /// Fits against a shared [`SortedColumns`] cache.
     ///
-    /// Bit-identical to [`fit`](Classifier::fit): the sequential boosting
-    /// RNG makes the same weighted-resample draws; a J48 base then trains
-    /// on a per-row multiplicity array over the shared cache instead of a
-    /// materialized resample.
+    /// The sequential boosting RNG makes the same weighted-resample draws
+    /// as a materializing fit; a J48 base then trains on a per-row
+    /// multiplicity array over the shared cache instead of a materialized
+    /// resample, and grows bit-identical rounds.
     ///
     /// # Errors
     ///
@@ -175,18 +175,6 @@ impl AdaBoost {
         self.fit_impl(data, Some(cols))
     }
 
-    /// Fits via the materializing reference path: every round trains on an
-    /// explicitly constructed weighted resample, bypassing the
-    /// [`SortedColumns`] fast path entirely. This is the oracle the
-    /// property-test suite compares the cached path against bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`fit_cached`](AdaBoost::fit_cached).
-    pub fn fit_naive(&mut self, data: &Dataset) -> Result<(), TrainError> {
-        self.fit_impl(data, None)
-    }
-
     fn fit_impl(&mut self, data: &Dataset, cols: Option<&SortedColumns>) -> Result<(), TrainError> {
         if data.len() < 2 {
             return Err(TrainError::TooFewInstances {
@@ -204,7 +192,7 @@ impl AdaBoost {
                 (ClassifierKind::J48, Some(cols)) => {
                     // Presorted path: identical RNG draws to the
                     // materializing arm below, expressed as multiplicities.
-                    // (`J48::build` ignores its seed.)
+                    // (`ClassifierKind::build` ignores a J48's seed.)
                     let draws = data.weighted_resample_indices(&weights, n, &mut rng);
                     let mut mult = vec![0u32; n];
                     for &i in &draws {
@@ -218,23 +206,11 @@ impl AdaBoost {
                 }
                 _ => {
                     let sample = data.weighted_resample(&weights, n, &mut rng);
-                    if self.base == ClassifierKind::J48 {
-                        // Reached only from `fit_naive`: the oracle grows
-                        // rounds with the historical per-node-sort path
-                        // (`fit` would silently re-enter the presorted
-                        // engine through J48's default fit).
-                        let mut tree = crate::tree::J48::new();
-                        if tree.fit_naive(&sample).is_err() {
-                            break;
-                        }
-                        Box::new(tree) as Box<dyn Classifier>
-                    } else {
-                        let mut model = self.base.build(self.seed.wrapping_add(t as u64 + 1));
-                        if model.fit(&sample).is_err() {
-                            break;
-                        }
-                        model
+                    let mut model = self.base.build(self.seed.wrapping_add(t as u64 + 1));
+                    if model.fit(&sample).is_err() {
+                        break;
                     }
+                    model
                 }
             };
 
@@ -405,7 +381,36 @@ impl Classifier for AdaBoost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::arb;
     use crate::metrics::ConfusionMatrix;
+    use crate::tree::J48;
+    use proptest::prelude::*;
+
+    fn tree_bytes(model: &dyn Classifier) -> String {
+        let tree = model.as_any().downcast_ref::<J48>().expect("J48 member");
+        serde_json::to_string(tree).expect("J48 serializes")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn cached_fit_matches_the_materializing_fit(
+            data in arb::dupey_dataset(),
+            seed in any::<u64>(),
+        ) {
+            let mut materialized = AdaBoost::new(ClassifierKind::J48, 5, seed);
+            materialized.fit_impl(&data, None).expect("materializing fit");
+            let cols = SortedColumns::new(&data);
+            let mut cached = AdaBoost::new(ClassifierKind::J48, 5, seed);
+            cached.fit_cached(&data, &cols).expect("cached fit");
+            prop_assert_eq!(materialized.ensemble_size(), cached.ensemble_size());
+            prop_assert_eq!(materialized.vote_weights(), cached.vote_weights());
+            for (a, b) in materialized.base_models().into_iter().zip(cached.base_models()) {
+                prop_assert_eq!(tree_bytes(a), tree_bytes(b));
+            }
+        }
+    }
 
     /// A band dataset a depth-limited stump-ish learner cannot solve alone
     /// but boosting can.

@@ -848,3 +848,47 @@ mod tests {
         assert_eq!(data.column(1), vec![0.0, 1.0, 0.0, 1.0]);
     }
 }
+
+/// Dataset strategies shared by the learners' bit-identity property tests.
+#[cfg(test)]
+pub(crate) mod arb {
+    use super::Dataset;
+    use proptest::prelude::*;
+
+    /// Binary dataset engineered so duplicate values, whole duplicate rows
+    /// and constant columns all arise naturally: each column draws from its
+    /// own small value alphabet (alphabet size 1 = constant column).
+    pub(crate) fn dupey_dataset() -> impl Strategy<Value = Dataset> {
+        (3usize..=10, 1usize..=4).prop_flat_map(|(per_class, d)| {
+            let n = per_class * 2;
+            let levels = proptest::collection::vec(1usize..=5, d);
+            let raw = proptest::collection::vec(proptest::collection::vec(0usize..1000, d), n);
+            (levels, raw).prop_map(move |(levels, raw)| {
+                let features: Vec<Vec<f64>> = raw
+                    .iter()
+                    .map(|row| {
+                        row.iter()
+                            .zip(&levels)
+                            .map(|(&v, &q)| (v % q) as f64 * 0.75 - 1.0)
+                            .collect()
+                    })
+                    .collect();
+                let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
+                Dataset::new(features, labels, 2).expect("constructed valid")
+            })
+        })
+    }
+
+    /// Continuous-valued variant: duplicates are unlikely, magnitudes vary.
+    pub(crate) fn continuous_dataset() -> impl Strategy<Value = Dataset> {
+        (3usize..=10, 1usize..=4).prop_flat_map(|(per_class, d)| {
+            let n = per_class * 2;
+            proptest::collection::vec(proptest::collection::vec(-1e4f64..1e4, d), n).prop_map(
+                move |features| {
+                    let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
+                    Dataset::new(features, labels, 2).expect("constructed valid")
+                },
+            )
+        })
+    }
+}

@@ -221,13 +221,14 @@ impl JRip {
     /// gain and tie-break are the rescan's, so the grown rules are
     /// bit-identical to it (`grow_rule_reference` in the tests).
     ///
-    /// With a [`SortedColumns`] cache the distinct values come from one
-    /// filtered walk of the presorted order; without one, from a sort of
-    /// the covered rows. Both yield the same list (the only ambiguity,
+    /// While the covered set stays large, the distinct values come from one
+    /// filtered walk of the [`SortedColumns`] cache's presorted order; once
+    /// it is small, where a sort is cheaper than an O(n) walk, from a sort
+    /// of the covered rows. Both yield the same list (the only ambiguity,
     /// which of `-0.0`/`0.0` comes first, cannot change any midpoint
-    /// bitwise or any count), so grown rules are identical either way. For
-    /// small covered sets a sort is cheaper than an O(n) walk, so the cache
-    /// is consulted only while the covered set stays large.
+    /// bitwise or any count), so grown rules are identical either way. A
+    /// fit always passes its cache; `None` sorts at every step, which lets
+    /// the tests check the sort against the rescan at any covered-set size.
     fn grow_rule(
         &self,
         data: &Dataset,
@@ -410,7 +411,7 @@ impl JRip {
         remaining: &mut Vec<usize>,
         class: usize,
         rng: &mut StdRng,
-        cols: Option<&SortedColumns>,
+        cols: &SortedColumns,
     ) -> Vec<Rule> {
         let mut rules = Vec::new();
         loop {
@@ -427,7 +428,7 @@ impl JRip {
             let cut = (shuffled.len() * 2) / 3;
             let (grow, prune) = shuffled.split_at(cut.max(1));
 
-            let grown = self.grow_rule(data, grow, class, cols);
+            let grown = self.grow_rule(data, grow, class, Some(cols));
             if grown.is_empty() {
                 break;
             }
@@ -462,7 +463,7 @@ impl JRip {
         rules: Vec<Rule>,
         default_class: usize,
         rng: &mut StdRng,
-        cols: Option<&SortedColumns>,
+        cols: &SortedColumns,
     ) -> Vec<Rule> {
         let all: Vec<usize> = (0..data.len()).collect();
         let error_of = |rs: &[Rule]| -> usize {
@@ -493,7 +494,7 @@ impl JRip {
             shuffled.shuffle(rng);
             let cut = (shuffled.len() * 2) / 3;
             let (grow, prune) = shuffled.split_at(cut.max(1));
-            let regrown = self.grow_rule(data, grow, class, cols);
+            let regrown = self.grow_rule(data, grow, class, Some(cols));
             if regrown.is_empty() {
                 continue;
             }
@@ -520,12 +521,12 @@ impl JRip {
 
     /// Fits against a shared [`SortedColumns`] cache.
     ///
-    /// Produces the exact rule set [`fit`](Classifier::fit) (and
-    /// [`fit_naive`](Self::fit_naive)) would: while a grow step's covered
-    /// set is large, its counted pass per attribute walks the cache's
-    /// presorted order instead of sorting the covered rows. That changes
-    /// how the distinct values are enumerated, not which candidates exist
-    /// or how they are counted. Unlike `J48::fit_presorted` there is no
+    /// Produces the exact rule set [`fit`](Classifier::fit) would, which
+    /// builds a one-off cache of its own: while a grow step's covered set
+    /// is large, its counted pass per attribute walks the cache's presorted
+    /// order instead of sorting the covered rows. That changes how the
+    /// distinct values are enumerated, not which candidates exist or how
+    /// they are counted. Unlike `J48::fit_presorted` there is no
     /// multiplicity parameter — RIPPER's seeded grow/prune shuffles operate
     /// on concrete row indices, so bootstrapped JRip members still
     /// materialize their sample.
@@ -548,23 +549,10 @@ impl JRip {
             data.n_features(),
             "SortedColumns column count must match dataset"
         );
-        self.fit_impl(data, Some(cols))
+        self.fit_impl(data, cols)
     }
 
-    /// Fits without a [`SortedColumns`] cache: every grow step's counted
-    /// pass sorts the covered rows of each attribute. It differs from
-    /// [`fit_cached`](Self::fit_cached) only in how it enumerates those
-    /// values, and is kept as the oracle of the walk-against-sort
-    /// bit-identity tests.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::TooFewInstances`] if the dataset has fewer than 4 rows.
-    pub fn fit_naive(&mut self, data: &Dataset) -> Result<(), TrainError> {
-        self.fit_impl(data, None)
-    }
-
-    fn fit_impl(&mut self, data: &Dataset, cols: Option<&SortedColumns>) -> Result<(), TrainError> {
+    fn fit_impl(&mut self, data: &Dataset, cols: &SortedColumns) -> Result<(), TrainError> {
         if data.len() < 4 {
             return Err(TrainError::TooFewInstances {
                 needed: 4,
@@ -647,9 +635,9 @@ impl CutCounts {
 impl Classifier for JRip {
     fn fit(&mut self, data: &Dataset) -> Result<(), TrainError> {
         // Build a one-off cut-point cache; large covered sets then walk it
-        // instead of sorting their values. Bit-identical to `fit_naive`.
+        // instead of sorting their values.
         let cols = SortedColumns::new(data);
-        self.fit_impl(data, Some(&cols))
+        self.fit_impl(data, &cols)
     }
 
     // hmd-analyze: hot-path
@@ -898,9 +886,9 @@ mod tests {
         }
     }
 
-    /// `grow_case` reaches what `prop_train.rs`'s 6–20-row datasets never
-    /// do: strided candidates, the sort fallback, midpoints that round onto
-    /// an endpoint and zeros of both signs in one column.
+    /// `grow_case` reaches what the 6–20-row `data::arb::dupey_dataset`
+    /// never does: strided candidates, the sort fallback, midpoints that
+    /// round onto an endpoint and zeros of both signs in one column.
     #[test]
     fn grow_cases_reach_the_rescans_edge_cases() {
         let (mut strided, mut sorted, mut endpoint, mut zeros) = (0, 0, 0, 0);

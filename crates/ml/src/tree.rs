@@ -486,12 +486,13 @@ impl J48 {
     /// Trains against a shared [`SortedColumns`] cache instead of sorting
     /// per node — the presorted training engine's entry point.
     ///
-    /// Produces a model **bit-identical** to [`fit_naive`](Self::fit_naive)
-    /// on the equivalent materialized dataset (see `DESIGN.md` §5b for the
-    /// argument): candidate thresholds exist only between distinct adjacent
-    /// values, class counts are small integers (exact in `f64` regardless
-    /// of accumulation order), and every entropy/gain/tie-break evaluation
-    /// uses the same formulas in the same order as the naive scan.
+    /// Produces a model **bit-identical** to the per-node-sort grower it
+    /// replaced (`fit_reference` in the tests) on the equivalent
+    /// materialized dataset (see `DESIGN.md` §5b for the argument):
+    /// candidate thresholds exist only between distinct adjacent values,
+    /// class counts are small integers (exact in `f64` regardless of
+    /// accumulation order), and every entropy/gain/tie-break evaluation
+    /// uses the same formulas in the same order as the per-node sort.
     ///
     /// * `mult` — optional per-row multiplicity over `data`'s rows; row `i`
     ///   participates as if repeated `mult[i]` times. `None` means every
@@ -599,138 +600,6 @@ impl J48 {
         Ok(())
     }
 
-    /// The original per-node-sort training path, kept verbatim as the
-    /// oracle for the presorted engine's bit-identity property tests.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::TooFewInstances`] if the dataset has fewer than 2 rows.
-    pub fn fit_naive(&mut self, data: &Dataset) -> Result<(), TrainError> {
-        if data.len() < 2 {
-            return Err(TrainError::TooFewInstances {
-                needed: 2,
-                got: data.len(),
-            });
-        }
-        let idx: Vec<usize> = (0..data.len()).collect();
-        let mut root = self.build(&idx, data);
-        if self.prune {
-            root = self.prune_node(root).0;
-        }
-        self.root = Some(root);
-        self.n_classes = data.n_classes();
-        self.compiled = OnceLock::new();
-        self.compiled_tree();
-        Ok(())
-    }
-
-    fn build(&self, idx: &[usize], data: &Dataset) -> Node {
-        let counts = class_counts(idx, data);
-        let n = idx.len();
-        if is_pure(&counts) || n < 2 * self.min_leaf {
-            return Node::Leaf {
-                class_counts: counts,
-            };
-        }
-        let parent_entropy = entropy(&counts);
-        let mut best: Option<(f64, usize, f64)> = None; // (gain_ratio, attr, threshold)
-        for attr in 0..data.n_features() {
-            if let Some((gain, ratio, threshold)) = self.best_split(idx, data, attr, parent_entropy)
-            {
-                // C4.5 requires positive information gain.
-                if gain <= 1e-12 {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((best_ratio, _, _)) => ratio > best_ratio,
-                };
-                if better {
-                    best = Some((ratio, attr, threshold));
-                }
-            }
-        }
-        let Some((_, attribute, threshold)) = best else {
-            return Node::Leaf {
-                class_counts: counts,
-            };
-        };
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
-            .iter()
-            .partition(|&&i| data.features_of(i)[attribute] <= threshold);
-        if left_idx.is_empty() || right_idx.is_empty() {
-            return Node::Leaf {
-                class_counts: counts,
-            };
-        }
-        Node::Split {
-            attribute,
-            threshold,
-            left: Box::new(self.build(&left_idx, data)),
-            right: Box::new(self.build(&right_idx, data)),
-        }
-    }
-
-    /// Best `(gain, gain_ratio, threshold)` for one attribute, or `None` if
-    /// the attribute is constant on `idx`.
-    fn best_split(
-        &self,
-        idx: &[usize],
-        data: &Dataset,
-        attr: usize,
-        parent_entropy: f64,
-    ) -> Option<(f64, f64, f64)> {
-        let n_classes = data.n_classes();
-        let mut pairs: Vec<(f64, usize)> = idx
-            .iter()
-            .map(|&i| (data.features_of(i)[attr], data.label_of(i)))
-            .collect();
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
-        let n = pairs.len() as f64;
-
-        let mut right_counts = vec![0.0; n_classes];
-        for &(_, l) in &pairs {
-            right_counts[l] += 1.0;
-        }
-        let mut left_counts = vec![0.0; n_classes];
-        let mut best: Option<(f64, f64, f64)> = None;
-        for i in 0..pairs.len() - 1 {
-            let (v, l) = pairs[i];
-            left_counts[l] += 1.0;
-            right_counts[l] -= 1.0;
-            let next_v = pairs[i + 1].0;
-            if next_v == v {
-                continue; // cannot split between equal values
-            }
-            let n_left = (i + 1) as f64;
-            let n_right = n - n_left;
-            if (n_left as usize) < self.min_leaf || (n_right as usize) < self.min_leaf {
-                continue;
-            }
-            let child_entropy =
-                (n_left / n) * entropy(&left_counts) + (n_right / n) * entropy(&right_counts);
-            let gain = parent_entropy - child_entropy;
-            let split_info = {
-                let pl = n_left / n;
-                let pr = n_right / n;
-                -(pl * pl.log2() + pr * pr.log2())
-            };
-            if split_info <= 1e-12 {
-                continue;
-            }
-            let ratio = gain / split_info;
-            let threshold = (v + next_v) / 2.0;
-            let better = match best {
-                None => true,
-                Some((_, best_ratio, _)) => ratio > best_ratio,
-            };
-            if better {
-                best = Some((gain, ratio, threshold));
-            }
-        }
-        best
-    }
-
     /// Bottom-up subtree replacement using C4.5's pessimistic error
     /// estimate. Returns the (possibly replaced) node and its estimated
     /// error count.
@@ -810,7 +679,8 @@ struct PresortGrower<'a> {
 
 impl PresortGrower<'_> {
     /// Grows the subtree over rows `[lo, hi)` of every order array.
-    /// Mirrors `J48::build` decision-for-decision.
+    /// Mirrors the per-node-sort grower (`build_reference` in the tests)
+    /// decision for decision.
     fn build_range(&mut self, lo: usize, hi: usize, n_classes: usize) -> Node {
         let mut counts = vec![0.0; n_classes];
         let mut n: usize = 0;
@@ -862,10 +732,10 @@ impl PresortGrower<'_> {
 
     /// Best `(gain, gain_ratio, threshold)` for one attribute over rows
     /// `[lo, hi)` — a single left-to-right pass over the presorted order
-    /// with incremental class counts. Mirrors `J48::best_split`: candidates
-    /// exist only between distinct adjacent values, where the integer class
-    /// counts (and hence every entropy, gain and ratio) are exactly those
-    /// the naive sorted scan computes.
+    /// with incremental class counts. Mirrors `best_split_reference` in the
+    /// tests: candidates exist only between distinct adjacent values, where
+    /// the integer class counts (and hence every entropy, gain and ratio)
+    /// are exactly those a per-node sorted scan computes.
     // hmd-analyze: hot-path
     fn scan_split(
         &mut self,
@@ -879,7 +749,7 @@ impl PresortGrower<'_> {
         let col = self.columns[a];
         // Constant attribute on this node: no candidate boundary exists
         // (the order is value-sorted, so first and last bound the range;
-        // the naive scan skips every equal-value pair the same way).
+        // a sorted scan skips every equal-value pair the same way).
         if col[order[0] as usize] == col[order[order.len() - 1] as usize] {
             return None;
         }
@@ -951,7 +821,7 @@ impl PresortGrower<'_> {
             ..
         } = self;
         // Mark each row's side off the splitting attribute's column — the
-        // same `value <= threshold` predicate the naive partition
+        // same `value <= threshold` predicate a per-node-sort partition
         // evaluates per row.
         let col = columns[attribute];
         for &r in &orders[attribute][lo..hi] {
@@ -1043,14 +913,6 @@ fn normal_upper_quantile(p: f64) -> f64 {
     }
 }
 
-fn class_counts(idx: &[usize], data: &Dataset) -> Vec<f64> {
-    let mut counts = vec![0.0; data.n_classes()];
-    for &i in idx {
-        counts[data.label_of(i)] += 1.0;
-    }
-    counts
-}
-
 fn is_pure(counts: &[f64]) -> bool {
     counts.iter().filter(|&&c| c > 0.0).count() <= 1
 }
@@ -1085,7 +947,7 @@ impl Classifier for J48 {
             });
         }
         // Sort each column once and grow by partitioning — bit-identical to
-        // the per-node-sort path (`fit_naive`), minus the redundant sorts.
+        // sorting at every node, minus the redundant sorts.
         let cols = SortedColumns::new(data);
         self.fit_presorted(data, &cols, None, None)
     }
@@ -1131,6 +993,266 @@ impl Classifier for J48 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::arb;
+    use proptest::prelude::*;
+
+    /// The per-node-sort grower `fit_presorted` replaced, kept verbatim as
+    /// its oracle: every node sorts its rows once per attribute.
+    fn fit_reference(tree: &mut J48, data: &Dataset) -> Result<(), TrainError> {
+        if data.len() < 2 {
+            return Err(TrainError::TooFewInstances {
+                needed: 2,
+                got: data.len(),
+            });
+        }
+        let idx: Vec<usize> = (0..data.len()).collect();
+        let mut root = build_reference(tree, &idx, data);
+        if tree.prune {
+            root = tree.prune_node(root).0;
+        }
+        tree.root = Some(root);
+        tree.n_classes = data.n_classes();
+        tree.compiled = OnceLock::new();
+        tree.compiled_tree();
+        Ok(())
+    }
+
+    fn build_reference(tree: &J48, idx: &[usize], data: &Dataset) -> Node {
+        let counts = class_counts(idx, data);
+        let n = idx.len();
+        if is_pure(&counts) || n < 2 * tree.min_leaf {
+            return Node::Leaf {
+                class_counts: counts,
+            };
+        }
+        let parent_entropy = entropy(&counts);
+        let mut best: Option<(f64, usize, f64)> = None; // (gain_ratio, attr, threshold)
+        for attr in 0..data.n_features() {
+            if let Some((gain, ratio, threshold)) =
+                best_split_reference(tree, idx, data, attr, parent_entropy)
+            {
+                // C4.5 requires positive information gain.
+                if gain <= 1e-12 {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some((best_ratio, _, _)) => ratio > best_ratio,
+                };
+                if better {
+                    best = Some((ratio, attr, threshold));
+                }
+            }
+        }
+        let Some((_, attribute, threshold)) = best else {
+            return Node::Leaf {
+                class_counts: counts,
+            };
+        };
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
+            .iter()
+            .partition(|&&i| data.features_of(i)[attribute] <= threshold);
+        if left_idx.is_empty() || right_idx.is_empty() {
+            return Node::Leaf {
+                class_counts: counts,
+            };
+        }
+        Node::Split {
+            attribute,
+            threshold,
+            left: Box::new(build_reference(tree, &left_idx, data)),
+            right: Box::new(build_reference(tree, &right_idx, data)),
+        }
+    }
+
+    /// Best `(gain, gain_ratio, threshold)` for one attribute, or `None` if
+    /// the attribute is constant on `idx`.
+    fn best_split_reference(
+        tree: &J48,
+        idx: &[usize],
+        data: &Dataset,
+        attr: usize,
+        parent_entropy: f64,
+    ) -> Option<(f64, f64, f64)> {
+        let n_classes = data.n_classes();
+        let mut pairs: Vec<(f64, usize)> = idx
+            .iter()
+            .map(|&i| (data.features_of(i)[attr], data.label_of(i)))
+            .collect();
+        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+        let n = pairs.len() as f64;
+
+        let mut right_counts = vec![0.0; n_classes];
+        for &(_, l) in &pairs {
+            right_counts[l] += 1.0;
+        }
+        let mut left_counts = vec![0.0; n_classes];
+        let mut best: Option<(f64, f64, f64)> = None;
+        for i in 0..pairs.len() - 1 {
+            let (v, l) = pairs[i];
+            left_counts[l] += 1.0;
+            right_counts[l] -= 1.0;
+            let next_v = pairs[i + 1].0;
+            if next_v == v {
+                continue; // cannot split between equal values
+            }
+            let n_left = (i + 1) as f64;
+            let n_right = n - n_left;
+            if (n_left as usize) < tree.min_leaf || (n_right as usize) < tree.min_leaf {
+                continue;
+            }
+            let child_entropy =
+                (n_left / n) * entropy(&left_counts) + (n_right / n) * entropy(&right_counts);
+            let gain = parent_entropy - child_entropy;
+            let split_info = {
+                let pl = n_left / n;
+                let pr = n_right / n;
+                -(pl * pl.log2() + pr * pr.log2())
+            };
+            if split_info <= 1e-12 {
+                continue;
+            }
+            let ratio = gain / split_info;
+            let threshold = (v + next_v) / 2.0;
+            let better = match best {
+                None => true,
+                Some((_, best_ratio, _)) => ratio > best_ratio,
+            };
+            if better {
+                best = Some((gain, ratio, threshold));
+            }
+        }
+        best
+    }
+
+    fn class_counts(idx: &[usize], data: &Dataset) -> Vec<f64> {
+        let mut counts = vec![0.0; data.n_classes()];
+        for &i in idx {
+            counts[data.label_of(i)] += 1.0;
+        }
+        counts
+    }
+
+    /// Serialized bytes of a model (the pruned tree only; the compiled
+    /// cache is derived state and excluded by the serializer), so a
+    /// structurally different tree cannot hide behind equal predictions.
+    fn bytes(t: &J48) -> String {
+        serde_json::to_string(t).expect("J48 serializes")
+    }
+
+    /// Bytes of the reference fit on `data`.
+    fn reference_bytes(data: &Dataset) -> String {
+        let mut tree = J48::new();
+        fit_reference(&mut tree, data).expect("reference fit");
+        bytes(&tree)
+    }
+
+    /// Bytes of a presorted fit over `data`'s own cache.
+    fn presorted_bytes(data: &Dataset, mult: Option<&[u32]>, attrs: Option<&[usize]>) -> String {
+        let cols = SortedColumns::new(data);
+        let mut tree = J48::new();
+        tree.fit_presorted(data, &cols, mult, attrs)
+            .expect("presorted fit");
+        bytes(&tree)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn presorted_matches_reference_on_duplicate_heavy_data(data in arb::dupey_dataset()) {
+            prop_assert_eq!(reference_bytes(&data), presorted_bytes(&data, None, None));
+        }
+
+        #[test]
+        fn presorted_matches_reference_on_continuous_data(data in arb::continuous_dataset()) {
+            prop_assert_eq!(reference_bytes(&data), presorted_bytes(&data, None, None));
+        }
+
+        #[test]
+        fn multiplicities_match_reference_on_materialized_rows(
+            data in arb::dupey_dataset(),
+            mult_raw in proptest::collection::vec(0u32..=3, 20),
+        ) {
+            // Row i participates mult[i] times; the reference trains on the
+            // explicitly repeated rows (in source index order).
+            let mut mult: Vec<u32> = (0..data.len())
+                .map(|i| mult_raw[i % mult_raw.len()])
+                .collect();
+            if mult.iter().sum::<u32>() < 2 {
+                mult[0] += 2; // keep the all-zero corner trainable
+            }
+            let expanded: Vec<usize> = (0..data.len())
+                .flat_map(|i| std::iter::repeat_n(i, mult[i] as usize))
+                .collect();
+            prop_assert_eq!(
+                reference_bytes(&data.subset(&expanded)),
+                presorted_bytes(&data, Some(&mult), None)
+            );
+        }
+
+        #[test]
+        fn bootstrap_draws_match_reference_in_any_draw_order(
+            data in arb::dupey_dataset(),
+            draw_raw in proptest::collection::vec(0usize..1000, 8..40),
+        ) {
+            // A bootstrap materializes rows in *draw* order, not index order —
+            // the presorted path must be insensitive to that ordering.
+            let draws: Vec<usize> = draw_raw.iter().map(|&r| r % data.len()).collect();
+            let mut mult = vec![0u32; data.len()];
+            for &i in &draws {
+                mult[i] += 1;
+            }
+            prop_assert_eq!(
+                reference_bytes(&data.subset(&draws)),
+                presorted_bytes(&data, Some(&mult), None)
+            );
+        }
+
+        #[test]
+        fn attribute_subset_matches_reference_on_projection(
+            data in arb::dupey_dataset(),
+            pick in proptest::collection::vec(any::<bool>(), 4),
+        ) {
+            let mut attrs: Vec<usize> = (0..data.n_features())
+                .filter(|&c| pick[c % pick.len()])
+                .collect();
+            if attrs.is_empty() {
+                attrs.push(0);
+            }
+            prop_assert_eq!(
+                reference_bytes(&data.select_features(&attrs)),
+                presorted_bytes(&data, None, Some(&attrs))
+            );
+        }
+    }
+
+    /// An all-constant dataset degrades like the reference: no split has
+    /// positive gain, so both produce a single leaf.
+    #[test]
+    fn constant_dataset_degrades_like_reference() {
+        let data = Dataset::new(vec![vec![3.0, -1.0]; 10], [0, 1].repeat(5), 2).unwrap();
+        let cols = SortedColumns::new(&data);
+        let mut fast = J48::new();
+        fast.fit_presorted(&data, &cols, None, None).unwrap();
+        assert_eq!(reference_bytes(&data), bytes(&fast));
+        assert_eq!(fast.node_count(), 1, "constant data yields a single leaf");
+    }
+
+    /// Below-minimum total multiplicity errors like a fit on fewer than
+    /// two rows.
+    #[test]
+    fn too_few_weighted_instances_errors() {
+        let data = Dataset::new(vec![vec![0.0], vec![1.0], vec![2.0]], vec![0, 1, 0], 2).unwrap();
+        let cols = SortedColumns::new(&data);
+        let err = J48::new()
+            .fit_presorted(&data, &cols, Some(&[0, 1, 0]), None)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            TrainError::TooFewInstances { needed: 2, got: 1 }
+        ));
+    }
 
     fn band() -> Dataset {
         // Class 1 iff x in [0.4, 0.6): needs two splits on one attribute,

@@ -53,8 +53,7 @@ use twosmart::online::{HostWindow, OnlineError};
 ///
 /// Both stores implement identical observable behaviour (verdicts,
 /// eviction sets, eviction order, gauges); the slab is the fast path and
-/// the BTreeMap is the oracle it is regression-tested against, as the
-/// learners' `fit_naive` is for their presorted training.
+/// the BTreeMap is the oracle it is regression-tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreKind {
     /// `BTreeMap<u64, HostSession>` per shard, full-scan retain eviction.

@@ -18,11 +18,9 @@
 //! `--window N`, `--votes N`, `--cascade always|gated:<t>` (stage-2
 //! gating of the batched drain; `always` is the scalar-identical
 //! default), `--store btree|slab` (session store; `slab` is the default,
-//! `btree` the oracle — digests must be byte-identical), `--journal`
-//! (print every journal entry; small runs only).
+//! `btree` the oracle — digests must be byte-identical).
 
 use hmd_serve::protocol::WireFormat;
-use hmd_sim::digest::JournalEntry;
 use hmd_sim::faults::FaultPlan;
 use hmd_sim::harness::{run, SimConfig};
 use hmd_sim::tiny_detector;
@@ -45,11 +43,6 @@ fn run_cli() -> Result<(), Box<dyn std::error::Error>> {
     );
     let detector = tiny_detector(config.seed);
     let report = run(detector, &config)?;
-    if let Some(journal) = &report.journal {
-        for entry in journal {
-            eprintln!("journal {entry:?}");
-        }
-    }
     if report.digest.end_sessions != 0 {
         eprintln!(
             "warning: {} sessions survived the final sweep (leak?)",
@@ -58,26 +51,7 @@ fn run_cli() -> Result<(), Box<dyn std::error::Error>> {
     }
     eprintln!("{}", report.render_variant());
     print!("{}", report.digest.render());
-    summarize_faults(report.journal.as_deref());
     Ok(())
-}
-
-/// One stderr line per observed fault class when a journal was kept —
-/// quick confirmation that the plan actually exercised every class.
-fn summarize_faults(journal: Option<&[JournalEntry]>) {
-    let Some(journal) = journal else { return };
-    let faults = journal
-        .iter()
-        .filter(|e| matches!(e, JournalEntry::Fault { .. }))
-        .count();
-    let sheds = journal
-        .iter()
-        .filter(|e| matches!(e, JournalEntry::Shed { .. }))
-        .count();
-    eprintln!(
-        "journal kept: {} entries, {faults} fault injections, {sheds} sheds",
-        journal.len()
-    );
 }
 
 fn parse(mut argv: impl Iterator<Item = String>) -> Result<SimConfig, String> {
@@ -110,14 +84,13 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<SimConfig, String> {
             "--votes" => config.votes = parse_num(&value("--votes")?)? as usize,
             "--cascade" => config.cascade = parse_cascade(&value("--cascade")?)?,
             "--store" => config.store = value("--store")?.parse()?,
-            "--journal" => config.keep_journal = true,
             "--help" | "-h" => {
                 return Err("usage: hmd-sim [--hosts N] [--seed N] [--protocol 1|2] \
                             [--faults none|standard|heavy|k=v,…] [--workers N] \
                             [--shards N] [--readings N] [--interval T] [--arrivals N] \
                             [--max-conns N] [--idle-after T] [--sweep-every T] \
                             [--window N] [--votes N] [--cascade always|gated:<t>] \
-                            [--store btree|slab] [--journal]"
+                            [--store btree|slab]"
                     .into());
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),

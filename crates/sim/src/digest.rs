@@ -91,31 +91,20 @@ impl JournalEntry {
 }
 
 /// Streaming order-independent journal: counts entries and folds each
-/// entry's FNV hash into a wrapping sum. Optionally retains the entries
-/// (small runs only — a million-host run journals tens of millions of
-/// events).
+/// entry's FNV hash into a wrapping sum, in constant memory (a
+/// million-host run journals tens of millions of events).
 #[derive(Debug, Default)]
 pub struct Journal {
     /// Entries observed.
     pub entries: u64,
     /// Wrapping sum of per-entry FNV hashes (order-independent).
     pub hash: u64,
-    /// Retained entries when [`Journal::retaining`] built this journal.
-    pub log: Option<Vec<JournalEntry>>,
 }
 
 impl Journal {
-    /// Hash-only journal (constant memory).
+    /// An empty journal.
     pub fn new() -> Journal {
         Journal::default()
-    }
-
-    /// Journal that also retains every entry for printing/inspection.
-    pub fn retaining() -> Journal {
-        Journal {
-            log: Some(Vec::new()),
-            ..Journal::default()
-        }
     }
 
     /// Folds one entry in.
@@ -123,9 +112,6 @@ impl Journal {
     pub fn record(&mut self, entry: JournalEntry) {
         self.entries += 1;
         self.hash = self.hash.wrapping_add(entry.fnv());
-        if let Some(log) = &mut self.log {
-            log.push(entry);
-        }
     }
 }
 
@@ -277,8 +263,6 @@ pub struct RunReport {
     pub wire_bytes_out: u64,
     /// Connections opened over the run (reconnects and burst included).
     pub connections: u64,
-    /// The retained journal, if the run kept one.
-    pub journal: Option<Vec<JournalEntry>>,
 }
 
 impl RunReport {

@@ -87,8 +87,6 @@ pub struct SimConfig {
     /// Which session store backs the engine. Both stores must produce
     /// byte-identical digests — this knob *is* the slab regression net.
     pub store: StoreKind,
-    /// Retain the full journal (small runs only).
-    pub keep_journal: bool,
 }
 
 impl Default for SimConfig {
@@ -110,7 +108,6 @@ impl Default for SimConfig {
             faults: FaultPlan::standard(),
             cascade: CascadeMode::Always,
             store: StoreKind::Slab,
-            keep_journal: false,
         }
     }
 }
@@ -324,11 +321,7 @@ pub fn run(detector: TwoSmartDetector, config: &SimConfig) -> Result<RunReport, 
         conn_seq: 0,
         tick: 0,
         next_host: 0,
-        journal: if config.keep_journal {
-            Journal::retaining()
-        } else {
-            Journal::new()
-        },
+        journal: Journal::new(),
         verdicts: VerdictCounts::default(),
         errors: ErrorCounters::default(),
         fault_counts: FaultCounters::default(),
@@ -417,7 +410,6 @@ impl Sim {
             wire_bytes_in: self.wire_in,
             wire_bytes_out: self.wire_out,
             connections: snapshot.connections,
-            journal: self.journal.log.take(),
         }
     }
 
