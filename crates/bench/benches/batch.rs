@@ -1,14 +1,11 @@
-//! Criterion benchmarks of the batched SoA inference path against the
-//! scalar loop it replaces: the full two-stage cascade per batch size, and
-//! the leaf kernels (compiled-tree walk, MLR projection) at batch 64.
+//! Criterion benchmarks of the two-stage cascade over batches of rows: a
+//! loop of `detect` calls at four batch sizes, and the gated cascade at
+//! batch 64.
 //!
-//! Every batched row has a scalar-loop oracle row at the same size, so the
-//! per-reading speedup is `scalar_loop(n) / batch(n)` with both sides
-//! amortizing identical work. The batch-64 ratios are the acceptance gate
-//! recorded in `BENCH_inference.json` — under `CascadeMode::Always` the
-//! batch path returns bit-identical verdicts (property-tested in
-//! `prop_batch.rs`), so any speedup here is execution shape, not skipped
-//! work.
+//! `detect_batch_with` is a loop of per-row cascades, so under
+//! `CascadeMode::Always` it would time the same work as the scalar loop;
+//! the gated row shows what the gate's stage-2 skips save on the same
+//! rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
@@ -18,8 +15,8 @@ use hmd_ml::prelude::*;
 use std::hint::black_box;
 use twosmart::detector::{CascadeMode, DetectBatchScratch, TwoSmartDetector};
 
-/// Batch sizes for the full-cascade rows; 64 is the gate size (one shard
-/// drain's worth of ready windows under a bursty fleet).
+/// Batch sizes for the scalar-loop rows; 64 is a pump burst's worth of
+/// ready windows under a bursty fleet.
 const SIZES: [usize; 4] = [1, 8, 64, 256];
 
 /// A deployable (4-HPC) detector with J48 specialists — the same model the
@@ -50,14 +47,6 @@ fn rows(lanes: usize) -> Vec<f64> {
     flat
 }
 
-/// The paper corpus' full 5-class problem (3121 apps x 44 events, 3 %
-/// label noise) -- the same data distribution every experiment in this
-/// repo trains on, so the kernel rows measure the tree/projection shapes
-/// that deployment actually produces.
-fn kernel_dataset() -> Dataset {
-    twosmart::pipeline::full_dataset(&CorpusBuilder::new(CorpusSpec::paper()).build())
-}
-
 fn bench_detect_scalar_loop(c: &mut Criterion) {
     let det = detector();
     for lanes in SIZES {
@@ -70,26 +59,6 @@ fn bench_detect_scalar_loop(c: &mut Criterion) {
                     malware += usize::from(!matches!(v, twosmart::detector::Verdict::Benign));
                 }
                 malware
-            })
-        });
-    }
-}
-
-fn bench_cascade_batch(c: &mut Criterion) {
-    let det = detector();
-    let mut scratch = DetectBatchScratch::new();
-    let mut out = Vec::new();
-    for lanes in SIZES {
-        let flat = rows(lanes);
-        c.bench_function(&format!("batch/detect_batch/{lanes}"), |b| {
-            b.iter(|| {
-                det.detect_batch_with(
-                    black_box(&flat),
-                    CascadeMode::Always,
-                    &mut scratch,
-                    &mut out,
-                );
-                out.len()
             })
         });
     }
@@ -115,57 +84,5 @@ fn bench_cascade_batch_gated(c: &mut Criterion) {
     });
 }
 
-/// Leaf kernels at batch 64: the compiled-tree level-synchronous walk and
-/// the MLR matmul-shaped projection, each against its scalar loop.
-fn bench_kernels(c: &mut Criterion) {
-    let data = kernel_dataset();
-    let lanes = 64usize;
-    let models: Vec<(&str, Box<dyn Classifier>)> = vec![
-        ("j48", {
-            let mut m = ClassifierKind::J48.build(0);
-            m.fit(&data).expect("fits");
-            m
-        }),
-        ("mlr", {
-            let mut m: Box<dyn Classifier> = Box::new(Mlr::new());
-            m.fit(&data).expect("fits");
-            m
-        }),
-    ];
-    for (name, model) in &models {
-        let k = model.n_classes();
-        let mut scalar_out = vec![0.0; k];
-        c.bench_function(&format!("batch/{name}_scalar_loop/{lanes}"), |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for lane in 0..lanes {
-                    let x = data.features_of(lane % data.len());
-                    model.predict_proba_into(black_box(x), &mut scalar_out);
-                    acc += scalar_out[0];
-                }
-                acc
-            })
-        });
-        let mut batch = BatchScratch::new();
-        batch.reset(data.n_features(), lanes);
-        for lane in 0..lanes {
-            batch.set_lane(lane, data.features_of(lane % data.len()));
-        }
-        let mut out = vec![0.0; lanes * k];
-        c.bench_function(&format!("batch/{name}_batch/{lanes}"), |b| {
-            b.iter(|| {
-                model.predict_proba_batch_into(black_box(&batch), &mut out);
-                out[0]
-            })
-        });
-    }
-}
-
-criterion_group!(
-    benches,
-    bench_detect_scalar_loop,
-    bench_cascade_batch,
-    bench_cascade_batch_gated,
-    bench_kernels
-);
+criterion_group!(benches, bench_detect_scalar_loop, bench_cascade_batch_gated);
 criterion_main!(benches);

@@ -37,7 +37,6 @@ use crate::stage2::{SpecializedDetector, Stage2Config};
 use hmd_hpc_sim::corpus::Corpus;
 use hmd_hpc_sim::event::Event;
 use hmd_hpc_sim::workload::AppClass;
-use hmd_ml::batch::BatchScratch;
 use hmd_ml::classifier::{argmax, ClassifierKind, TrainError};
 use hmd_ml::data::Dataset;
 use rand::rngs::StdRng;
@@ -65,18 +64,17 @@ impl Verdict {
     }
 }
 
-/// How the batched cascade decides whether to run stage 2 for a lane that
-/// stage 1 routed to a malware class.
+/// How the cascade decides whether to run stage 2 for a row that stage 1
+/// routed to a malware class.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CascadeMode {
-    /// Run stage 2 for every malware-routed lane. Verdicts are
-    /// bit-identical to the scalar [`TwoSmartDetector::detect`] path — the
-    /// oracle the property suite compares against.
+    /// Run stage 2 for every malware-routed row: the verdict is
+    /// [`TwoSmartDetector::detect`]'s.
     Always,
     /// Skip stage 2 when the stage-1 probability of the routed class is at
     /// least this threshold; the verdict is then
     /// `Malware { class: routed, confidence: stage1_probability }` without
-    /// the specialist confirmation pass. Lanes below the threshold fall
+    /// the specialist confirmation pass. Rows below the threshold fall
     /// through to stage 2 and match [`CascadeMode::Always`] exactly.
     ///
     /// Pick the threshold with
@@ -85,43 +83,31 @@ pub enum CascadeMode {
     Gated(f64),
 }
 
-/// One lane's outcome from [`TwoSmartDetector::detect_batch_with`]: the
-/// verdict, the stage-1 routing, and whether the stage-2 specialist
-/// actually ran (benign-routed and gate-skipped lanes never invoke it).
+/// One row's outcome from [`TwoSmartDetector::cascade`]: the verdict, the
+/// stage-1 routing, and whether the stage-2 specialist actually ran
+/// (benign-routed and gate-skipped rows never invoke it).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CascadeVerdict {
-    /// The detection outcome for the lane.
+    /// The detection outcome for the row.
     pub verdict: Verdict,
-    /// The class stage 1 routed this lane to. Distinguishes an overturned
+    /// The class stage 1 routed this row to. Distinguishes an overturned
     /// malware routing (`routed` malware, `verdict` benign) from a
     /// benign routing, so cost accounting can attribute stage-2 work per
     /// class even when the specialist disagrees.
     pub routed: AppClass,
-    /// `true` when the stage-2 specialist scored this lane.
+    /// `true` when the stage-2 specialist scored this row.
     pub stage2_ran: bool,
 }
 
-/// Reusable scratch for the batched detection path.
-///
-/// Owns the stage-1 SoA projection and probability matrix, the per-lane
-/// routing, the per-class lane grouping, and the stage-2 projection and
-/// probability matrix. After the first batch at steady-state size,
-/// repeated [`TwoSmartDetector::detect_batch_with`] calls perform no heap
-/// allocation.
-#[derive(Debug, Clone, Default)]
-pub struct DetectBatchScratch {
-    stage1_cols: BatchScratch,
-    stage1_proba: Vec<f64>,
-    routed: Vec<AppClass>,
-    group: Vec<u32>,
-    stage2_cols: BatchScratch,
-    stage2_proba: Vec<f64>,
-}
+/// The scratch slot of [`TwoSmartDetector::detect_batch_with`]. The
+/// cascade keeps every buffer on the stack, so it holds nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DetectBatchScratch;
 
 impl DetectBatchScratch {
-    /// Empty scratch; buffers grow on first use.
+    /// The (empty) scratch.
     pub fn new() -> DetectBatchScratch {
-        DetectBatchScratch::default()
+        DetectBatchScratch
     }
 }
 
@@ -343,46 +329,81 @@ impl TwoSmartDetector {
     /// Panics if `features44` does not have 44 entries.
     // hmd-analyze: hot-path
     pub fn detect(&self, features44: &[f64]) -> Verdict {
-        let routed = self.stage1.predict_class(features44);
+        self.cascade(features44, CascadeMode::Always).verdict
+    }
+
+    /// The two-stage cascade on one 44-event feature row under `mode`:
+    /// stage 1 routes the row, and a malware routing is confirmed or
+    /// overturned by that class's specialist. Under
+    /// [`CascadeMode::Gated`], a row whose routed-class stage-1
+    /// probability clears the gate skips stage 2 and reports that
+    /// probability as its confidence, with `stage2_ran = false`.
+    /// Allocation-free; every buffer lives on the stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features44` does not have 44 entries.
+    // hmd-analyze: hot-path
+    pub fn cascade(&self, features44: &[f64], mode: CascadeMode) -> CascadeVerdict {
+        let proba = self.stage1.class_probabilities(features44);
+        let routed = AppClass::from_label(argmax(&proba)).expect("5-class model");
         if routed == AppClass::Benign {
-            return Verdict::Benign;
+            return CascadeVerdict {
+                verdict: Verdict::Benign,
+                routed,
+                stage2_ran: false,
+            };
+        }
+        if let CascadeMode::Gated(t) = mode {
+            let confidence = proba[routed.label()];
+            // `Less | None` rather than `confidence < t`: a NaN stage-1
+            // probability (incomparable, `None`) must fall through to the
+            // specialist, not skip it.
+            if !matches!(
+                confidence.partial_cmp(&t),
+                Some(std::cmp::Ordering::Less) | None
+            ) {
+                return CascadeVerdict {
+                    verdict: Verdict::Malware {
+                        class: routed,
+                        confidence,
+                    },
+                    routed,
+                    stage2_ran: false,
+                };
+            }
         }
         let specialist = self.stage2(routed);
         let confidence = specialist.score(features44);
-        if confidence >= specialist.threshold() {
+        let verdict = if confidence >= specialist.threshold() {
             Verdict::Malware {
                 class: routed,
                 confidence,
             }
         } else {
             Verdict::Benign
+        };
+        CascadeVerdict {
+            verdict,
+            routed,
+            stage2_ran: true,
         }
     }
 
-    /// The batched two-stage cascade: stage 1 routes every lane through
-    /// the SoA MLR kernel, then each malware class's specialist scores its
-    /// routed lanes in one batched call.
-    ///
-    /// Under [`CascadeMode::Always`], every lane's verdict is bit-identical
-    /// to [`detect`](Self::detect) on that lane's row (the
-    /// per-class regrouping reorders *which lanes* a specialist sees
-    /// together, never any lane's arithmetic). Under
-    /// [`CascadeMode::Gated`], lanes whose stage-1 routed-class probability
-    /// clears the gate skip stage 2 and report the stage-1 probability as
-    /// their confidence, with `stage2_ran = false`.
-    ///
-    /// `out` is cleared and refilled with one [`CascadeVerdict`] per lane,
-    /// in lane order.
+    /// [`cascade`](Self::cascade) on every row of `features` (row-major
+    /// `lanes × 44`): `out` is cleared and refilled with one
+    /// [`CascadeVerdict`] per row, in row order. Kept for the traced
+    /// cascade split in `perfbench/src/pump_resident.rs`; serving scores
+    /// each row as its window fills.
     ///
     /// # Panics
     ///
     /// Panics if `features.len()` is not a multiple of 44.
-    // hmd-analyze: hot-path
     pub fn detect_batch_with(
         &self,
         features: &[f64],
         mode: CascadeMode,
-        scratch: &mut DetectBatchScratch,
+        _scratch: &mut DetectBatchScratch,
         out: &mut Vec<CascadeVerdict>,
     ) {
         assert_eq!(
@@ -390,89 +411,12 @@ impl TwoSmartDetector {
             0,
             "expected whole 44-event rows"
         );
-        let lanes = features.len() / Event::COUNT;
         out.clear();
-        if lanes == 0 {
-            return;
-        }
-        self.stage1.route_batch_with(
-            features,
-            &mut scratch.stage1_cols,
-            &mut scratch.stage1_proba,
-            &mut scratch.routed,
+        out.extend(
+            features
+                .chunks_exact(Event::COUNT)
+                .map(|row| self.cascade(row, mode)),
         );
-        let k = scratch.stage1_proba.len() / lanes;
-        // Benign-routed lanes never reach stage 2 — same as scalar.
-        out.resize(
-            lanes,
-            CascadeVerdict {
-                verdict: Verdict::Benign,
-                routed: AppClass::Benign,
-                stage2_ran: false,
-            },
-        );
-        for class in AppClass::MALWARE {
-            scratch.group.clear();
-            for (lane, &r) in scratch.routed.iter().enumerate() {
-                if r != class {
-                    continue;
-                }
-                let run_stage2 = match mode {
-                    CascadeMode::Always => true,
-                    // `Less | None` rather than `conf < t`: a NaN stage-1
-                    // probability (incomparable, `None`) must fall through
-                    // to the specialist, not skip it.
-                    CascadeMode::Gated(t) => matches!(
-                        scratch.stage1_proba[lane * k + class.label()].partial_cmp(&t),
-                        Some(std::cmp::Ordering::Less) | None
-                    ),
-                };
-                if run_stage2 {
-                    scratch.group.push(lane as u32);
-                } else {
-                    out[lane] = CascadeVerdict {
-                        verdict: Verdict::Malware {
-                            class,
-                            confidence: scratch.stage1_proba[lane * k + class.label()],
-                        },
-                        routed: class,
-                        stage2_ran: false,
-                    };
-                }
-            }
-            if scratch.group.is_empty() {
-                continue;
-            }
-            let specialist = self.stage2(class);
-            let events = specialist.events();
-            scratch.stage2_cols.reset(events.len(), scratch.group.len());
-            for (g, &lane) in scratch.group.iter().enumerate() {
-                let row =
-                    &features[lane as usize * Event::COUNT..(lane as usize + 1) * Event::COUNT];
-                for (j, e) in events.iter().enumerate() {
-                    scratch.stage2_cols.set(g, j, row[e.index()]);
-                }
-            }
-            let nc = specialist.model().n_classes();
-            scratch.stage2_proba.clear();
-            scratch.stage2_proba.resize(scratch.group.len() * nc, 0.0);
-            specialist
-                .model()
-                .predict_proba_batch_into(&scratch.stage2_cols, &mut scratch.stage2_proba);
-            for (g, &lane) in scratch.group.iter().enumerate() {
-                let confidence = scratch.stage2_proba[g * nc + 1];
-                let verdict = if confidence >= specialist.threshold() {
-                    Verdict::Malware { class, confidence }
-                } else {
-                    Verdict::Benign
-                };
-                out[lane as usize] = CascadeVerdict {
-                    verdict,
-                    routed: class,
-                    stage2_ran: true,
-                };
-            }
-        }
     }
 
     /// Picks the gate threshold for [`CascadeMode::Gated`] from a 5-class

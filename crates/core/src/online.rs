@@ -181,10 +181,9 @@ impl HostWindow {
     /// the programmed events' slots are written, so callers must hand in
     /// a zeroed array.
     ///
-    /// Splitting windowing from classification lets a serving shard
-    /// aggregate many hosts' ready windows and score them through one
-    /// batched detector call; the raw verdict then goes to
-    /// [`apply_verdict`](Self::apply_verdict).
+    /// Splitting windowing from classification lets a serving engine
+    /// score every host's window through its one detector; the raw
+    /// verdict then goes to [`apply_verdict`](Self::apply_verdict).
     ///
     /// # Errors
     ///

@@ -185,8 +185,10 @@ impl DetectorSnapshot {
     ///
     /// [`PersistError::Invalid`] naming the first violated invariant:
     /// - an empty event list, or one longer than [`Event::COUNT`];
-    /// - a stage-1 MLR that is unfitted or not shaped
-    ///   `(stage1_events.len(), 5)`;
+    /// - a stage-1 MLR that is unfitted, does not take
+    ///   `stage1_events.len()` inputs to 5 classes, or has ragged or
+    ///   non-finite weights or a damaged standardizer (see
+    ///   [`AnyModel::validate`]);
     /// - a missing, duplicate or benign specialist;
     /// - a specialist threshold outside `[0, 1]`;
     /// - a specialist model that is unfitted, not binary, reads a feature
@@ -202,11 +204,15 @@ impl DetectorSnapshot {
                 Event::COUNT
             ));
         }
-        if self.stage1_model.shape() != Some((n, AppClass::ALL.len())) {
-            return invalid(format!(
-                "stage-1 MLR is unfitted or not shaped ({n} events, {} classes)",
-                AppClass::ALL.len()
-            ));
+        match AnyModel::Mlr(self.stage1_model.clone()).validate(n) {
+            Ok(k) if k == AppClass::ALL.len() => {}
+            Ok(k) => {
+                return invalid(format!(
+                    "stage-1 MLR has {k} classes, not {}",
+                    AppClass::ALL.len()
+                ))
+            }
+            Err(why) => return invalid(format!("stage-1 {why}")),
         }
         for class in AppClass::MALWARE {
             let n = self.stage2.iter().filter(|s| s.class == class).count();
@@ -501,6 +507,36 @@ mod tests {
             damaged.try_restore(),
             Err(PersistError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn try_restore_refuses_a_damaged_stage1_mlr() {
+        // A stage-1 weight saved as `null` reads back as NaN: unchecked,
+        // every stage-1 probability is NaN, `argmax` routes every row
+        // benign and the restored detector flags nothing. A `means` array
+        // one entry short, or a class count of 6 over 5 weight rows,
+        // panics the first `detect`.
+        let (det, _) = trained(false);
+        let good = DetectorSnapshot::capture(&det).unwrap();
+        let json = serde_json::to_string(&good.stage1_model).unwrap();
+        let first_value = |key: &str| {
+            let at = json.find(key).expect("key present") + key.len();
+            (at, at + json[at..].find([',', '}']).unwrap())
+        };
+        let (at, end) = first_value("\"weights\":[[");
+        let null_weight = format!("{}null{}", &json[..at], &json[end..]);
+        let (at, end) = first_value("\"means\":[");
+        let short_means = format!("{}{}", &json[..at], &json[end + 1..]);
+        let (at, end) = first_value("\"n_classes\":");
+        let six_classes = format!("{}6{}", &json[..at], &json[end..]);
+        for damaged_json in [null_weight, short_means, six_classes] {
+            let mut damaged = good.clone();
+            damaged.stage1_model = serde_json::from_str(&damaged_json).unwrap();
+            assert!(matches!(
+                damaged.try_restore(),
+                Err(PersistError::Invalid(_))
+            ));
+        }
     }
 
     #[test]

@@ -130,22 +130,20 @@ impl Stage1Model {
         AppClass::from_label(argmax(&self.class_probabilities(features44))).expect("5-class model")
     }
 
-    /// Routes a whole batch of 44-event rows (`features`, row-major
-    /// `lanes × 44`): fills `cols` with the log-transformed Common-event
-    /// projection in SoA layout, `proba` with row-major
-    /// `lanes × n_classes` class probabilities, and `routed` with each
-    /// lane's predicted class. Every lane's probabilities and routing are
-    /// bit-identical to [`class_probabilities`](Self::class_probabilities)
-    /// and [`predict_class`](Self::predict_class) on that lane's row.
+    /// [`class_probabilities`](Self::class_probabilities) and
+    /// [`predict_class`](Self::predict_class) on every row of `features`
+    /// (row-major `lanes × 44`): `proba` is refilled with row-major
+    /// `lanes × n_classes` probabilities and `routed` with each row's
+    /// class. `cols` is left as it is. Kept for the traced cascade split
+    /// in `perfbench/src/pump_resident.rs`.
     ///
     /// # Panics
     ///
     /// Panics if `features.len()` is not a multiple of 44.
-    // hmd-analyze: hot-path
     pub fn route_batch_with(
         &self,
         features: &[f64],
-        cols: &mut BatchScratch,
+        _cols: &mut BatchScratch,
         proba: &mut Vec<f64>,
         routed: &mut Vec<AppClass>,
     ) {
@@ -154,25 +152,13 @@ impl Stage1Model {
             0,
             "expected whole 44-event rows"
         );
-        let lanes = features.len() / Event::COUNT;
-        cols.reset(self.events.len(), lanes);
-        for (lane, row) in features.chunks_exact(Event::COUNT).enumerate() {
-            for (j, e) in self.events.iter().enumerate() {
-                // Same `(1 + max(v, 0)).ln()` expression as the scalar
-                // path, evaluated per lane in event order.
-                cols.set(lane, j, (1.0 + row[e.index()].max(0.0)).ln());
-            }
-        }
-        let k = self.model.n_classes();
         proba.clear();
-        proba.resize(lanes * k, 0.0);
-        self.model.predict_proba_batch_into(cols, proba);
         routed.clear();
-        routed.extend(
-            proba
-                .chunks_exact(k)
-                .map(|row| AppClass::from_label(argmax(row)).expect("5-class model")),
-        );
+        for row in features.chunks_exact(Event::COUNT) {
+            let p = self.class_probabilities(row);
+            proba.extend_from_slice(&p);
+            routed.push(AppClass::from_label(argmax(&p)).expect("5-class model"));
+        }
     }
 
     /// Multiclass accuracy on a 5-class, 44-event test set.

@@ -1,9 +1,12 @@
-//! Property-based bit-identity check for the batched cascade: under
-//! [`CascadeMode::Always`], `detect_batch_with` must produce, for every
-//! lane, a verdict bit-for-bit identical to the scalar `detect` on
-//! that lane's row — across batch sizes, duplicate- and NaN-heavy feature
-//! rows, and every fitted model kind. The serving layer swaps the scalar
-//! loop for the batch path on this guarantee; a single differing ULP in a
+//! Property checks of the two-stage cascade over batches of rows.
+//! `TwoSmartDetector::cascade` is the one function that scores a row, for
+//! `detect`, the serving engine's drain and `detect_batch_with` alike.
+//! Under [`CascadeMode::Always`], `detect_batch_with` must give every
+//! lane `detect`'s verdict bit for bit, and run stage 2 exactly for the
+//! malware-routed lanes. Under `Gated(t)`, a lane may skip stage 2 only
+//! when its stage-1 confidence clears `t`, and must otherwise match
+//! `Always`. The rows mix duplicate, NaN, negative and zero counters, and
+//! every fitted model kind is checked. A single differing ULP in a
 //! confidence would change wire bytes and the sim digest.
 
 use hmd_hpc_sim::corpus::{Corpus, CorpusBuilder, CorpusSpec};

@@ -26,7 +26,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::BatchScratch;
 use crate::classifier::{argmax, Classifier, ClassifierKind, TrainError};
 use crate::data::{Dataset, SortedColumns};
 use rand::rngs::StdRng;
@@ -37,10 +36,6 @@ thread_local! {
     /// Reused base-model probability scratch for the allocation-free
     /// `predict_proba_into` path.
     static BOOST_MEMBER: std::cell::RefCell<Vec<f64>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-    /// Reused base-model batch probability matrix for
-    /// `predict_proba_batch_into`.
-    static BOOST_BATCH: std::cell::RefCell<Vec<f64>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -309,53 +304,6 @@ impl Classifier for AdaBoost {
         } else {
             for v in out.iter_mut() {
                 *v /= total;
-            }
-        }
-    }
-
-    // Round-major accumulation: each base model scores the whole batch
-    // once, then its vote weight lands on every lane's argmax slot. Per
-    // lane, the weights still arrive in round order and the final
-    // sum/normalize runs left-to-right over the class row — the exact
-    // per-lane operation sequence of the scalar path, so results are
-    // bit-identical.
-    // hmd-analyze: hot-path
-    fn predict_proba_batch_into(&self, batch: &BatchScratch, out: &mut [f64]) {
-        assert!(!self.rounds.is_empty(), "AdaBoost not fitted");
-        let lanes = batch.n_lanes();
-        assert_eq!(
-            out.len(),
-            lanes * self.n_classes,
-            "predict_proba_batch_into: out has {} slots for {} lanes × {} classes",
-            out.len(),
-            lanes,
-            self.n_classes
-        );
-        out.fill(0.0);
-        BOOST_BATCH.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            for round in &self.rounds {
-                let nc = round.model.n_classes();
-                buf.clear();
-                buf.resize(lanes * nc, 0.0);
-                round.model.predict_proba_batch_into(batch, &mut buf);
-                for (member_row, out_row) in buf
-                    .chunks_exact(nc)
-                    .zip(out.chunks_exact_mut(self.n_classes))
-                {
-                    // Same argmax tie-break as the scalar path.
-                    out_row[argmax(member_row)] += round.weight;
-                }
-            }
-        });
-        for out_row in out.chunks_exact_mut(self.n_classes) {
-            let total: f64 = out_row.iter().sum();
-            if total <= 0.0 {
-                out_row.fill(1.0 / self.n_classes as f64);
-            } else {
-                for v in out_row.iter_mut() {
-                    *v /= total;
-                }
             }
         }
     }

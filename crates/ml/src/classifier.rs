@@ -32,8 +32,7 @@ use std::error::Error;
 use std::fmt;
 
 thread_local! {
-    /// Reused row-gather scratch for the default (scalar-fallback)
-    /// `predict_proba_batch_into` implementation.
+    /// Reused row-gather scratch for `predict_proba_batch_into`.
     static BATCH_ROW: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -110,12 +109,11 @@ pub trait Classifier: fmt::Debug + Send + Sync {
     /// `out[lane * n_classes + c]`) — the batched form of
     /// [`predict_proba_into`](Self::predict_proba_into).
     ///
-    /// For every lane, the written row is **bit-identical** to a scalar
-    /// `predict_proba_into` call on that lane's feature row. The default
-    /// implementation guarantees this by construction (it gathers each
-    /// lane and calls the scalar path); batch-shaped overrides (compiled
-    /// trees, MLR, AdaBoost) must preserve the scalar per-lane operation
-    /// order exactly.
+    /// It gathers each lane and calls the scalar path, so every written
+    /// row is bit-identical to a `predict_proba_into` call on that lane's
+    /// feature row. No classifier overrides it: serving scores one row at
+    /// a time, and this method remains for the traced cascade split in
+    /// `perfbench/src/pump_resident.rs`.
     ///
     /// # Panics
     ///

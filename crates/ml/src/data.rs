@@ -556,22 +556,20 @@ impl Standardizer {
         );
     }
 
-    /// Standardizes one feature's values across a contiguous column of
-    /// lanes (the column-major form for batched kernels). Each element is
-    /// the same `(v - mean) / std` expression as the row transforms —
-    /// element-independent, so the bits match a per-row transform of the
-    /// same values while the column streams sequentially.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `feature` is out of range or the slice lengths differ.
-    // hmd-analyze: hot-path
-    pub fn transform_col_into(&self, feature: usize, col: &[f64], out: &mut [f64]) {
-        assert_eq!(col.len(), out.len(), "column length mismatch");
-        let (m, s) = (self.means[feature], self.stds[feature]);
-        for (o, v) in out.iter_mut().zip(col) {
-            *o = (v - m) / s;
+    /// Checks that the scaler takes `width` features, with finite means
+    /// and standard deviations that are finite and above 0. Only a
+    /// damaged snapshot fails.
+    pub(crate) fn check(&self, width: usize) -> Result<(), String> {
+        if self.means.len() != width || self.stds.len() != width {
+            return Err(format!("standardizer does not scale {width} inputs"));
         }
+        if self.means.iter().any(|m| !m.is_finite()) {
+            return Err("standardizer has a non-finite mean".into());
+        }
+        if self.stds.iter().any(|s| !(s.is_finite() && *s > 0.0)) {
+            return Err("standardizer has a deviation that is not finite and above 0".into());
+        }
+        Ok(())
     }
 
     /// Standardizes a whole dataset (labels unchanged).

@@ -24,7 +24,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::BatchScratch;
 use crate::classifier::{Classifier, TrainError};
 use crate::data::{Dataset, Standardizer};
 use serde::{Deserialize, Serialize};
@@ -87,6 +86,32 @@ impl Mlr {
         let f = self.fitted.as_ref()?;
         Some((f.weights.first()?.len().checked_sub(1)?, f.weights.len()))
     }
+
+    /// [`shape`](Self::shape), checked against everything a prediction
+    /// reads: one weight row per class, every row `inputs + 1` long and
+    /// finite, and a standardizer of `inputs` finite means and finite,
+    /// positive deviations (see [`Standardizer`]). Snapshot validation
+    /// calls it on untrusted input.
+    pub(crate) fn checked_shape(&self) -> Result<(usize, usize), String> {
+        let f = self.fitted.as_ref().ok_or("MLR is not fitted")?;
+        let (inputs, classes) = self.shape().ok_or("MLR has no weights")?;
+        if classes != f.n_classes {
+            return Err(format!(
+                "MLR has {classes} weight rows for {} classes",
+                f.n_classes
+            ));
+        }
+        if f.weights.iter().any(|w| w.len() != inputs + 1) {
+            return Err(format!("MLR weight rows are not all {} long", inputs + 1));
+        }
+        if f.weights.iter().flatten().any(|w| !w.is_finite()) {
+            return Err("MLR has a non-finite weight".into());
+        }
+        f.standardizer
+            .check(inputs)
+            .map_err(|why| format!("MLR {why}"))?;
+        Ok((inputs, classes))
+    }
 }
 
 impl Default for Mlr {
@@ -117,12 +142,6 @@ thread_local! {
     /// Reused standardized-input scratch for the allocation-free
     /// `predict_proba_into` path.
     static MLR_Z: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-
-    /// Reused `(standardized columns, class-major accumulators)` scratch
-    /// for the batched projection — capacity persists across batches so
-    /// steady-state batch scoring performs no heap allocation.
-    static MLR_BATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
 impl Classifier for Mlr {
@@ -237,93 +256,6 @@ impl Classifier for Mlr {
             }
         });
         softmax_in_place(out);
-    }
-
-    // Batched projection + row-wise in-place softmax. This is a
-    // matmul-shaped kernel (`lanes × (d+1)` inputs against the transposed
-    // weight matrix) written out by hand rather than through
-    // `Matrix::matmul_into`, because that routine skips `a == 0.0`
-    // contributions and accumulates with the intercept last — both of
-    // which would break the bit-identity contract against the scalar path
-    // (a skipped `0 × NaN` no longer poisons, and a reordered fold rounds
-    // differently). Here every lane runs the exact scalar op sequence:
-    // standardize, `a = w[d]`, then `a += wᵢ·zᵢ` in feature order, then
-    // the same max-shifted softmax.
-    // hmd-analyze: hot-path
-    fn predict_proba_batch_into(&self, batch: &BatchScratch, out: &mut [f64]) {
-        let f = self.fitted.as_ref().expect("MLR not fitted");
-        let lanes = batch.n_lanes();
-        let d = batch.n_features();
-        assert_eq!(
-            out.len(),
-            lanes * f.n_classes,
-            "predict_proba_batch_into: out has {} slots for {} lanes × {} classes",
-            out.len(),
-            lanes,
-            f.n_classes
-        );
-        let lanes = batch.n_lanes();
-        let k = f.n_classes;
-        MLR_BATCH.with(|scratch| {
-            let (zcols, acc) = &mut *scratch.borrow_mut();
-            // Standardize column-major: each feature's column streams
-            // contiguously through the same `(v - mean) / std` expression
-            // the scalar path applies, so the bits match a per-row
-            // transform.
-            zcols.clear();
-            zcols.resize(d * lanes, 0.0);
-            for j in 0..d {
-                f.standardizer.transform_col_into(
-                    j,
-                    batch.col(j),
-                    &mut zcols[j * lanes..(j + 1) * lanes],
-                );
-            }
-            // Class-major accumulators: every `(lane, class)` accumulator
-            // folds intercept first and features in ascending order —
-            // exactly the scalar op sequence, so the sums round
-            // identically. Lanes are processed in register-width blocks
-            // per class, with the whole block's accumulators seeded from
-            // the intercept and held in registers across the feature loop
-            // (independent lanes on a contiguous stream — vectorizable and
-            // free of the per-feature load/store round trip; the scalar
-            // dot is a single serial dependency chain and can be
-            // neither).
-            const BLK: usize = 8;
-            acc.clear();
-            acc.resize(k * lanes, 0.0);
-            for (c, w) in f.weights.iter().enumerate() {
-                let accc = &mut acc[c * lanes..(c + 1) * lanes];
-                let mut lane0 = 0usize;
-                while lane0 + BLK <= lanes {
-                    let mut regs = [w[d]; BLK];
-                    for (j, &wj) in w[..d].iter().enumerate() {
-                        let zc = &zcols[j * lanes + lane0..j * lanes + lane0 + BLK];
-                        for (a, zi) in regs.iter_mut().zip(zc) {
-                            *a += wj * zi;
-                        }
-                    }
-                    accc[lane0..lane0 + BLK].copy_from_slice(&regs);
-                    lane0 += BLK;
-                }
-                // Remainder lanes: the same fold, one lane at a time.
-                for lane in lane0..lanes {
-                    let mut a = w[d];
-                    for (j, &wj) in w[..d].iter().enumerate() {
-                        a += wj * zcols[j * lanes + lane];
-                    }
-                    accc[lane] = a;
-                }
-            }
-            // Transpose each lane's logits into its row-major output slot
-            // and run the same max-shifted softmax the scalar path runs.
-            for (lane, out_row) in out.chunks_exact_mut(k).enumerate() {
-                for (c, o) in out_row.iter_mut().enumerate() {
-                    *o = acc[c * lanes + lane];
-                }
-                softmax_in_place(out_row);
-            }
-        });
     }
 
     fn n_classes(&self) -> usize {

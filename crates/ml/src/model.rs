@@ -117,10 +117,12 @@ impl AnyModel {
     /// only test features below `inputs`, and a rule list may only assign
     /// its own classes, with confidences in `[0, 1]`, and may not compare
     /// against a NaN threshold. An MLP or MLR must take exactly `inputs`
-    /// features, and an MLP's weight rows must be rectangular, its scaler
-    /// as wide as its input and its weights finite. An ensemble needs at least one base, one weight per base,
-    /// and bases that each pass these checks and are all of one stage-2
-    /// kind and of the ensemble's class count.
+    /// features, with rectangular weight rows, a scaler as wide as its
+    /// input and finite weights; an MLR also needs one weight row per
+    /// class, finite means and finite, positive deviations. An ensemble
+    /// needs at least one base, one weight per base, and bases that each
+    /// pass these checks and are all of one stage-2 kind and of the
+    /// ensemble's class count.
     ///
     /// # Errors
     ///
@@ -143,13 +145,10 @@ impl AnyModel {
                 takes_exactly(m.checked_topology()?.0, inputs)?;
                 m
             }
-            AnyModel::Mlr(m) => match m.shape() {
-                Some((width, _)) => {
-                    takes_exactly(width, inputs)?;
-                    m
-                }
-                None => return Err("model is not fitted".into()),
-            },
+            AnyModel::Mlr(m) => {
+                takes_exactly(m.checked_shape()?.0, inputs)?;
+                m
+            }
             AnyModel::Boosted {
                 bases,
                 weights,
@@ -459,6 +458,87 @@ mod tests {
         // An infinite cut is one training can produce; it stays legal.
         let infinite = edited(&good, threshold("1e400"));
         assert_eq!(infinite.validate(2), Ok(2));
+    }
+
+    /// A fitted two-feature MLR's snapshot, which validates.
+    fn good_mlr() -> AnyModel {
+        let mut mlr = Mlr::new();
+        mlr.fit(&band()).unwrap();
+        let good = AnyModel::Mlr(mlr);
+        assert_eq!(good.validate(2), Ok(2));
+        good
+    }
+
+    /// Replaces the first value after `key`, up to the next `,`, `]` or
+    /// `}`, with `value`; an empty `value` also drops the comma after it.
+    fn set_first(key: &'static str, value: &'static str) -> impl Fn(&mut String) {
+        move |json: &mut String| {
+            let at = json.find(key).expect("key present") + key.len();
+            let mut end = at + json[at..].find([',', ']', '}']).unwrap();
+            if value.is_empty() && json[end..].starts_with(',') {
+                end += 1;
+            }
+            json.replace_range(at..end, value);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_an_mlr_weight_row_of_the_wrong_length() {
+        // The second row one weight longer: unchecked, it scores with its
+        // last input weight as the intercept. One shorter panics.
+        let good = good_mlr();
+        for extra in ["0.5,", ""] {
+            let damaged = edited(&good, |json| {
+                let at = json.find("],[").expect("two weight rows") + 3;
+                if extra.is_empty() {
+                    let end = at + json[at..].find(',').unwrap() + 1;
+                    json.replace_range(at..end, "");
+                } else {
+                    json.insert_str(at, extra);
+                }
+            });
+            assert!(damaged.validate(2).is_err(), "{damaged:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_an_mlr_standardizer_of_the_wrong_width() {
+        // One mean short panics the first prediction; one deviation short
+        // silently scores one input fewer.
+        let good = good_mlr();
+        for key in ["\"means\":[", "\"stds\":["] {
+            let damaged = edited(&good, set_first(key, ""));
+            assert!(damaged.validate(2).is_err(), "{damaged:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_non_finite_mlr_weight_or_mean() {
+        // `null` reads back as NaN, which makes every probability NaN.
+        let good = good_mlr();
+        for key in ["\"weights\":[[", "\"means\":["] {
+            let damaged = edited(&good, set_first(key, "null"));
+            assert!(damaged.validate(2).is_err(), "{damaged:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_an_mlr_deviation_that_is_not_finite_and_positive() {
+        // A zero deviation divides to infinity, a negative one flips its
+        // input's sign, and `null` reads back as NaN.
+        let good = good_mlr();
+        for value in ["0.0", "-1.0", "null"] {
+            let damaged = edited(&good, set_first("\"stds\":[", value));
+            assert!(damaged.validate(2).is_err(), "{damaged:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_an_mlr_class_count_its_weights_do_not_have() {
+        // Three classes over two weight rows: unchecked, a stage-1 MLR
+        // edited this way panics on its first prediction.
+        let damaged = edited(&good_mlr(), set_first("\"n_classes\":", "3"));
+        assert!(damaged.validate(2).is_err(), "{damaged:?}");
     }
 
     #[test]

@@ -26,18 +26,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::BatchScratch;
 use crate::classifier::{Classifier, TrainError};
 use crate::data::{Dataset, SortedColumns};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
-
-thread_local! {
-    /// Reused `(lane, node cursor)` frontier for the
-    /// [`CompiledTree::predict_batch_into`] walk.
-    static TREE_LANES: std::cell::RefCell<Vec<(u32, u32)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
 
 /// A node of the fitted tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -233,72 +225,6 @@ impl CompiledTree {
                 node.right as usize
             };
         }
-    }
-
-    /// Batched [`predict_proba_into`](Self::predict_proba_into): walks every
-    /// lane of a column-major [`BatchScratch`] through the flat node array
-    /// **level-by-level** and writes `n_lanes × n_classes` row-major
-    /// probabilities into `out`.
-    ///
-    /// Each pass advances the cursor of every lane still at a split with
-    /// the same select the scalar walk applies (`<=` picks left, anything
-    /// else — including NaN — picks right), then compacts the *frontier*:
-    /// lanes whose cursor landed on a leaf drop out, so a pass only
-    /// touches lanes still descending and the loop ends as soon as the
-    /// frontier drains — total work is the sum of path lengths, not
-    /// `depth × lanes`. Unlike the scalar walk's serial load→compare→load
-    /// dependency chain, consecutive frontier lanes are independent, so
-    /// the walk is throughput-bound rather than latency-bound. A lane
-    /// that parks copies its precomputed Laplace probability row as it
-    /// leaves the frontier — the same precomputed table the scalar walk
-    /// copies, so batched output is bit-identical per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != batch.n_lanes() * n_classes` or the batch
-    /// lacks a split attribute's column.
-    // hmd-analyze: hot-path
-    pub fn predict_batch_into(&self, batch: &BatchScratch, out: &mut [f64]) {
-        let lanes = batch.n_lanes();
-        assert_eq!(
-            out.len(),
-            lanes * self.n_classes,
-            "predict_batch_into: out has {} slots for {} lanes × {} classes",
-            out.len(),
-            lanes,
-            self.n_classes
-        );
-        let flat = batch.flat();
-        let k = self.n_classes;
-        TREE_LANES.with(|scratch| {
-            let frontier = &mut *scratch.borrow_mut();
-            frontier.clear();
-            frontier.extend((0..lanes as u32).map(|lane| (lane, 0u32)));
-            while !frontier.is_empty() {
-                let mut kept = 0usize;
-                for r in 0..frontier.len() {
-                    let (lane, cursor) = frontier[r];
-                    let node = self.nodes[cursor as usize];
-                    if node.attribute == COMPILED_LEAF {
-                        // Parked: copy the lane's probability row and drop
-                        // it from the frontier.
-                        let offset = node.left as usize;
-                        out[lane as usize * k..(lane as usize + 1) * k]
-                            .copy_from_slice(&self.probs[offset..offset + k]);
-                        continue;
-                    }
-                    let v = flat[node.attribute as usize * lanes + lane as usize];
-                    let next = if v <= node.threshold {
-                        node.left
-                    } else {
-                        node.right
-                    };
-                    frontier[kept] = (lane, next);
-                    kept += 1;
-                }
-                frontier.truncate(kept);
-            }
-        });
     }
 }
 
@@ -964,12 +890,6 @@ impl Classifier for J48 {
             tree.n_classes()
         );
         tree.predict_proba_into(x, out);
-    }
-
-    // hmd-analyze: hot-path
-    // hmd-analyze: allow(transitive-hot-path-alloc, "one-time lazy tree compilation, amortized over every subsequent batch; the batch walk itself is allocation-free")
-    fn predict_proba_batch_into(&self, batch: &BatchScratch, out: &mut [f64]) {
-        self.compiled_tree().predict_batch_into(batch, out);
     }
 
     fn n_classes(&self) -> usize {

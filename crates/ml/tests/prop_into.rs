@@ -1,7 +1,7 @@
 //! Property-based checks of the one scoring path every classifier
 //! implements: `predict_proba_into` must overwrite every slot of `out`, so
 //! no stale buffer contents leak into a result, must return the same bits
-//! on a repeated call through the same scratch state, and
+//! on a repeated call through the same scratch state, and the trait's
 //! `predict_proba_batch_into` must match a per-lane `predict_proba_into`
 //! bit-for-bit on any fitted model and any input — not merely approximately.
 //! The determinism gates of this repo compare serialized probabilities, so
@@ -55,7 +55,9 @@ fn assert_batch_bit_identical(model: &dyn Classifier, data: &Dataset, lanes: usi
     let mut batch = BatchScratch::new();
     batch.reset(data.n_features(), lanes);
     for lane in 0..lanes {
-        batch.set_lane(lane, data.features_of(lane % data.len()));
+        for (feature, &v) in data.features_of(lane % data.len()).iter().enumerate() {
+            batch.set(lane, feature, v);
+        }
     }
     let mut out = vec![f64::NAN; lanes * k];
     model.predict_proba_batch_into(&batch, &mut out);
@@ -93,30 +95,19 @@ proptest! {
             }
             other => other.build(seed),
         });
-        // The extended baselines run the trait's default batch path over
-        // their own `predict_proba_into`.
-        let baselines: [Box<dyn Classifier>; 2] =
-            [Box::new(NaiveBayes::new()), Box::new(Knn::new(3))];
+        // Stage 1's MLR and the extended baselines, through the same
+        // checks.
+        let baselines: [Box<dyn Classifier>; 3] = [
+            Box::new(Mlr::new()),
+            Box::new(NaiveBayes::new()),
+            Box::new(Knn::new(3)),
+        ];
         for mut model in kinds.chain(baselines) {
             model.fit(&data).expect("fit succeeds on valid data");
             assert_into_bit_identical(model.as_ref(), &data, model.name());
             for lanes in [1, 3, 17] {
                 assert_batch_bit_identical(model.as_ref(), &data, lanes, model.name());
             }
-        }
-    }
-
-    #[test]
-    fn predict_proba_batch_into_is_bit_identical_for_mlr(
-        data in arb_binary_dataset(),
-    ) {
-        // MLR separately at a wide batch: its batched projection is a
-        // hand-written matmul-shaped kernel, the likeliest place for a
-        // fold-order slip.
-        let mut model = Mlr::new();
-        model.fit(&data).expect("fit succeeds");
-        for lanes in [1, 2, 64] {
-            assert_batch_bit_identical(&model, &data, lanes, "MLR");
         }
     }
 

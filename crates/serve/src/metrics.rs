@@ -53,7 +53,7 @@ pub struct Metrics {
     /// Smoothed malware verdicts, indexed by position in
     /// [`AppClass::MALWARE`].
     pub malware: [AtomicU64; AppClass::MALWARE.len()],
-    /// Stage-2 specialist invocations by routed class (batched drain),
+    /// Stage-2 specialist invocations by routed class,
     /// indexed by position in [`AppClass::MALWARE`].
     pub stage2_invoked: [AtomicU64; AppClass::MALWARE.len()],
     /// Stage-2 invocations skipped by the confidence gate, by routed
@@ -103,7 +103,7 @@ impl Metrics {
         }
     }
 
-    /// Folds one batched drain's per-class stage-2 invocation/skip counts
+    /// Folds one drain's per-class stage-2 invocation/skip counts
     /// into the cascade cost accounting (one atomic add per touched
     /// class).
     pub fn add_stage2(
@@ -196,13 +196,13 @@ impl VerdictHistogram {
 /// ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StageCounts {
-    /// Lanes routed to the backdoor specialist.
+    /// Full windows routed to the backdoor specialist.
     pub backdoor: u64,
-    /// Lanes routed to the rootkit specialist.
+    /// Full windows routed to the rootkit specialist.
     pub rootkit: u64,
-    /// Lanes routed to the virus specialist.
+    /// Full windows routed to the virus specialist.
     pub virus: u64,
-    /// Lanes routed to the trojan specialist.
+    /// Full windows routed to the trojan specialist.
     pub trojan: u64,
 }
 
@@ -238,7 +238,7 @@ pub struct MetricsSnapshot {
     pub session_bytes: u64,
     /// Verdict outcome histogram.
     pub verdicts: VerdictHistogram,
-    /// Stage-2 specialist invocations by routed class (batched drain).
+    /// Stage-2 specialist invocations by routed class.
     pub stage2_invoked: StageCounts,
     /// Stage-2 invocations the confidence gate skipped, by routed class.
     pub stage2_skipped: StageCounts,

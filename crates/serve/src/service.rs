@@ -98,8 +98,8 @@ pub struct Conn<T> {
     /// Reused counter scratch for both formats' Submit fast paths.
     counters: Vec<f64>,
     /// Submissions queued during one decode pass, drained through the
-    /// engine's batched cascade at the next non-Submit step (or at the end
-    /// of the pass). Buffers are reused across passes.
+    /// engine at the next non-Submit step (or at the end of the pass).
+    /// Buffers are reused across passes.
     batch: SubmitBatch,
     /// Reused buffer for eviction sweeps triggered by this connection's
     /// bursts, so the sweep allocates nothing on the hot path.
@@ -276,11 +276,11 @@ pub fn pump<T: Read + Write>(
     // unconsumed buffer would re-queue it every pass, growing `outbuf`
     // without bound against a slow-reading peer.
     //
-    // Submits accumulate in `conn.batch` and drain through the engine's
-    // batched cascade at the first non-Submit step (replies must stay in
-    // arrival order, so a Drain or error cannot overtake queued verdicts)
-    // and at the end of the pass. A pipelining v2 client therefore gets
-    // one SoA cascade per burst instead of one scalar cascade per frame.
+    // Submits accumulate in `conn.batch` and drain through the engine at
+    // the first non-Submit step (replies must stay in arrival order, so a
+    // Drain or error cannot overtake queued verdicts) and at the end of
+    // the pass. Where the drain falls cannot change any result: each
+    // submit is scored on its own, in order.
     //
     // Decoding also stops once queued replies reach `max_outbuf`, the rest
     // waiting in `inbuf` until the peer reads. Each batched Submit counts

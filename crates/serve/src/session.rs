@@ -44,9 +44,7 @@ use hmd_hpc_sim::workload::AppClass;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use twosmart::detector::{
-    CascadeMode, CascadeVerdict, DetectBatchScratch, TwoSmartDetector, Verdict,
-};
+use twosmart::detector::{CascadeMode, TwoSmartDetector, Verdict};
 use twosmart::online::{HostWindow, OnlineError};
 
 /// Which per-shard session store backs the engine.
@@ -117,8 +115,9 @@ pub struct SessionConfig {
     pub idle_after: u64,
     /// What a logical tick is (defaults to one tick per submit).
     pub time: TimeSource,
-    /// How the batched drain decides whether to run stage 2 (defaults to
-    /// [`CascadeMode::Always`], the scalar-identical oracle).
+    /// How the cascade decides whether to run stage 2 (defaults to
+    /// [`CascadeMode::Always`], whose verdicts are
+    /// [`TwoSmartDetector::detect`]'s).
     pub cascade: CascadeMode,
     /// Which per-shard store holds the sessions (defaults to
     /// [`StoreKind::Slab`]; `BTree` is the oracle).
@@ -234,14 +233,6 @@ impl ShardStore {
         }
     }
 
-    // hmd-analyze: hot-path
-    fn get_mut(&mut self, host_id: u64) -> Option<&mut HostSession> {
-        match self {
-            ShardStore::BTree(map) => map.get_mut(&host_id),
-            ShardStore::Slab(slab) => slab.get_mut(host_id),
-        }
-    }
-
     fn len(&self) -> usize {
         match self {
             ShardStore::BTree(map) => map.len(),
@@ -317,12 +308,6 @@ impl SlabShard {
 
     fn len(&self) -> usize {
         self.index.len
-    }
-
-    // hmd-analyze: hot-path
-    fn get_mut(&mut self, host_id: u64) -> Option<&mut HostSession> {
-        let slot = self.index.lookup(host_id)?;
-        Some(&mut self.slots[slot as usize].session)
     }
 
     /// [`ShardStore::get_or_admit`] for the slab: reuses a freed slot
@@ -657,16 +642,11 @@ impl Wheel {
     }
 }
 
-/// A reusable queue of submissions drained through the batched detection
-/// path.
+/// A reusable queue of submissions for [`SessionEngine::submit_batch`].
 ///
 /// A connection pump accumulates decoded `Submit` frames here, then one
-/// [`SessionEngine::submit_batch`] call windows every reading and scores
-/// all ready windows through
-/// [`TwoSmartDetector::detect_batch_with`] — one SoA stage-1 pass plus one
-/// batched stage-2 pass per routed class, instead of a full scalar cascade
-/// per submission. Buffers are reused across drains; steady state
-/// allocates nothing.
+/// `submit_batch` call drains them in submission order. Buffers are
+/// reused across drains; steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct SubmitBatch {
     /// `(host_id, seq)` per queued item, in submission order.
@@ -677,14 +657,6 @@ pub struct SubmitBatch {
     counters: Vec<f64>,
     /// Per-item outcome, filled by [`SessionEngine::submit_batch`].
     results: Vec<Result<Option<Verdict>, SubmitError>>,
-    /// Row-major `ready_lanes × 44` feature rows for full windows.
-    features: Vec<f64>,
-    /// Queued-item index of each ready lane.
-    ready: Vec<u32>,
-    /// Batched cascade outcomes, one per ready lane.
-    verdicts: Vec<CascadeVerdict>,
-    /// Batched detection scratch reused across drains.
-    scratch: DetectBatchScratch,
 }
 
 impl SubmitBatch {
@@ -726,9 +698,6 @@ impl SubmitBatch {
         self.lens.clear();
         self.counters.clear();
         self.results.clear();
-        self.features.clear();
-        self.ready.clear();
-        self.verdicts.clear();
     }
 }
 
@@ -743,7 +712,7 @@ pub struct SessionEngine {
     /// Logical clock; advanced per submit or externally per [`TimeSource`].
     clock: AtomicU64,
     time: TimeSource,
-    /// Stage-2 gating policy for the batched drain.
+    /// Stage-2 gating policy of every cascade the engine runs.
     cascade: CascadeMode,
     /// In-memory bytes of one session, computed once from the template;
     /// feeds the `session_bytes` gauge.
@@ -782,7 +751,7 @@ impl SessionEngine {
         })
     }
 
-    /// The stage-2 gating policy the batched drain runs under.
+    /// The stage-2 gating policy every cascade runs under.
     pub fn cascade(&self) -> CascadeMode {
         self.cascade
     }
@@ -795,34 +764,29 @@ impl SessionEngine {
         shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Drains a queue of submissions through the batched cascade.
+    /// Drains a queue of submissions in one pass, in submission order.
     ///
-    /// Phase A windows every item in submission order (clock tick, session
-    /// creation, seq guard, window advance); full windows contribute one
-    /// lane to a feature batch. One [`TwoSmartDetector::detect_batch_with`]
-    /// call then scores all lanes under the engine's [`CascadeMode`], and
-    /// phase B folds each raw verdict back into its session's vote
-    /// smoothing, in submission order.
+    /// Each item takes its host's shard lock once. Under it the pass ticks
+    /// the clock, admits the host, checks the seq and advances the window;
+    /// when the window is full it also runs
+    /// [`TwoSmartDetector::cascade`] under the engine's [`CascadeMode`],
+    /// folds the verdict into the host's vote smoothing, and counts the
+    /// stage-2 work.
     ///
     /// Under [`CascadeMode::Always`] each host's accepted results are
     /// bit-identical to feeding its readings to its own
     /// [`OnlineDetector::push`](twosmart::online::OnlineDetector::push):
-    /// the windowing and smoothing are the same [`HostWindow`] code, and
-    /// the batched cascade is the property-tested bit-identity oracle of
-    /// the scalar detector.
+    /// the windowing, cascade and smoothing are the same code.
     ///
     /// Results land in `batch` (see [`SubmitBatch::results`]); per-class
     /// stage-2 invocation/skip counts land in the engine's metrics.
     // hmd-analyze: hot-path
-    // hmd-analyze: allow(transitive-hot-path-alloc, "cv.routed.is_malware() is the AppClass enum predicate; name-wide resolution collides with the allocating baseline detector method of the same name")
     pub fn submit_batch(&self, batch: &mut SubmitBatch) {
         batch.results.clear();
-        batch.features.clear();
-        batch.ready.clear();
-
-        // Phase A: window every reading, in submission order.
+        let mut stage2_invoked = [0u64; AppClass::MALWARE.len()];
+        let mut stage2_skipped = [0u64; AppClass::MALWARE.len()];
         let mut offset = 0usize;
-        for (i, (&(host_id, seq), &len)) in batch.hosts.iter().zip(batch.lens.iter()).enumerate() {
+        for (&(host_id, seq), &len) in batch.hosts.iter().zip(batch.lens.iter()) {
             let counters = &batch.counters[offset..offset + len as usize];
             offset += len as usize;
             let now = match self.time {
@@ -845,51 +809,32 @@ impl SessionEngine {
                 }
             }
             let mut features44 = [0.0; Event::COUNT];
-            match session.window.advance_window(counters, &mut features44) {
-                Ok(ready) => {
-                    session.last_seq = Some(seq);
-                    session.last_seen = now;
-                    if ready {
-                        batch.ready.push(i as u32);
-                        batch.features.extend_from_slice(&features44);
-                    }
-                    // Warm-up items keep this placeholder; ready items are
-                    // overwritten in phase B.
-                    batch.results.push(Ok(None));
+            let ready = match session.window.advance_window(counters, &mut features44) {
+                Ok(ready) => ready,
+                Err(e) => {
+                    batch.results.push(Err(match e {
+                        OnlineError::BadLength { expected, got } => {
+                            SubmitError::BadLength { expected, got }
+                        }
+                        OnlineError::BadValue { index } => SubmitError::BadValue { index },
+                        // Construction-time failures `advance_window` cannot
+                        // return; reject the frame rather than panicking.
+                        _ => SubmitError::BadLength {
+                            expected: self.template.arity(),
+                            got: counters.len(),
+                        },
+                    }));
+                    continue;
                 }
-                Err(e) => batch.results.push(Err(match e {
-                    OnlineError::BadLength { expected, got } => {
-                        SubmitError::BadLength { expected, got }
-                    }
-                    OnlineError::BadValue { index } => SubmitError::BadValue { index },
-                    // Construction-time failures `advance_window` cannot
-                    // return; reject the frame rather than panicking.
-                    _ => SubmitError::BadLength {
-                        expected: self.template.arity(),
-                        got: counters.len(),
-                    },
-                })),
+            };
+            session.last_seq = Some(seq);
+            session.last_seen = now;
+            if !ready {
+                batch.results.push(Ok(None));
+                continue;
             }
-        }
-
-        if batch.ready.is_empty() {
-            return;
-        }
-
-        // One batched cascade over every ready window.
-        self.detector.detect_batch_with(
-            &batch.features,
-            self.cascade,
-            &mut batch.scratch,
-            &mut batch.verdicts,
-        );
-
-        // Phase B: fold raw verdicts into vote smoothing, in order, and
-        // account stage-2 work per class.
-        let mut stage2_invoked = [0u64; AppClass::MALWARE.len()];
-        let mut stage2_skipped = [0u64; AppClass::MALWARE.len()];
-        for (&item, cv) in batch.ready.iter().zip(batch.verdicts.iter()) {
-            if cv.routed.is_malware() {
+            let cv = self.detector.cascade(&features44, self.cascade);
+            if cv.routed != AppClass::Benign {
                 // MALWARE is ordered by label (backdoor, rootkit, virus,
                 // trojan), so a malware class' counter slot is label − 1.
                 let idx = cv.routed.label() - 1;
@@ -899,15 +844,9 @@ impl SessionEngine {
                     stage2_skipped[idx] += 1;
                 }
             }
-            let (host_id, _) = batch.hosts[item as usize];
-            let mut shard = Self::lock(&self.shards[self.shard_of(host_id)]);
-            let smoothed = match shard.get_mut(host_id) {
-                Some(session) => session.window.apply_verdict(cv.verdict),
-                // Evicted between phases (concurrent sweeper): the raw
-                // verdict is the best available answer for this item.
-                None => cv.verdict,
-            };
-            batch.results[item as usize] = Ok(Some(smoothed));
+            batch
+                .results
+                .push(Ok(Some(session.window.apply_verdict(cv.verdict))));
         }
         self.metrics.add_stage2(&stage2_invoked, &stage2_skipped);
     }
@@ -1321,22 +1260,32 @@ mod tests {
     #[test]
     fn submit_batch_matches_online_detector_push_item_for_item() {
         // An interleaved stream — warm-ups, full windows, a replayed seq, a
-        // wrong arity and a NaN reading — drained in chunks whose
-        // boundaries cross hosts. Every accepted item must equal one
-        // `OnlineDetector::push` per host, and every rejected item must
-        // leave its host's window as if it had never been sent.
+        // wrong arity and a NaN reading — drained at every chunk size, so
+        // drain boundaries fall wherever a pump could flush. Under Always,
+        // every accepted item must equal one `OnlineDetector::push` per
+        // host, and every rejected item must leave its host's window as if
+        // it had never been sent. Under Gated, the results and stage-2
+        // counters must equal those of one-item drains.
         let config = SessionConfig {
             window: 2,
             votes: 1,
             ..SessionConfig::default()
         };
         let det = detector();
-        let batched = SessionEngine::new(det.clone(), &config, Arc::new(Metrics::new())).unwrap();
+        // Corpus readings of the programmed events, so that stage 1 routes
+        // some windows to malware classes.
+        let events = det.runtime_events().expect("4-HPC detector").to_vec();
+        let readings: Vec<Vec<f64>> = CorpusBuilder::new(CorpusSpec::tiny())
+            .build()
+            .records()
+            .iter()
+            .map(|r| events.iter().map(|e| r.features[e.index()]).collect())
+            .collect();
         let mut stream: Vec<(u64, u64, Vec<f64>, Option<SubmitError>)> = Vec::new();
         for seq in 0..6 {
             for host in [1u64, 2, 3] {
-                let x = 1e5 + (seq * 31 + host) as f64 * 17.0;
-                stream.push((host, seq, vec![x, x / 3.0, x / 7.0, x / 11.0], None));
+                let reading = &readings[(seq * 3 + host) as usize * 5 % readings.len()];
+                stream.push((host, seq, reading.clone(), None));
             }
         }
         let replay = SubmitError::OutOfOrder { last: 5, got: 2 };
@@ -1352,47 +1301,105 @@ mod tests {
             stream.push((host, 99, vec![2e5, 3e4, 4e3, 5e2 + host as f64], None));
         }
 
+        // The per-host oracle, and each full window's routed-class stage-1
+        // confidence, from which the gate is set between the median and
+        // the rest so that it both skips and runs stage 2.
         let mut oracles: BTreeMap<u64, OnlineDetector> = BTreeMap::new();
+        let mut confidences = Vec::new();
         let want: Vec<_> = stream
             .iter()
             .map(|(h, _, c, rejected)| match rejected {
                 Some(e) => Err(e.clone()),
-                None => Ok(oracles
-                    .entry(*h)
-                    .or_insert_with(|| {
+                None => {
+                    let oracle = oracles.entry(*h).or_insert_with(|| {
                         OnlineDetector::new(det.clone(), config.window, config.votes).unwrap()
-                    })
-                    .push(c)),
+                    });
+                    let mut shadow = oracle.clone();
+                    let mut features44 = [0.0; Event::COUNT];
+                    if shadow.advance_window(c, &mut features44).unwrap() {
+                        let cv = det.cascade(&features44, CascadeMode::Gated(0.0));
+                        if let Verdict::Malware { confidence, .. } = cv.verdict {
+                            confidences.push(confidence);
+                        }
+                    }
+                    Ok(oracle.push(c))
+                }
             })
             .collect();
+        confidences.sort_by(f64::total_cmp);
+        let gate = confidences[confidences.len() / 2];
 
-        let mut batch = SubmitBatch::new();
-        let mut got = Vec::new();
-        for chunk in stream.chunks(5) {
-            batch.clear();
-            for (h, s, c, _) in chunk {
-                batch.push(*h, *s, c);
+        let drain = |cascade: CascadeMode, chunk: usize| {
+            let metrics = Arc::new(Metrics::new());
+            let config = SessionConfig {
+                cascade,
+                ..config.clone()
+            };
+            let engine = SessionEngine::new(det.clone(), &config, Arc::clone(&metrics)).unwrap();
+            let mut batch = SubmitBatch::new();
+            let mut got = Vec::new();
+            for items in stream.chunks(chunk) {
+                batch.clear();
+                for (h, s, c, _) in items {
+                    batch.push(*h, *s, c);
+                }
+                assert_eq!(batch.len(), items.len());
+                engine.submit_batch(&mut batch);
+                assert_eq!(batch.results().count(), items.len());
+                for (((bh, bs), r), (h, s, _, _)) in batch.results().zip(items) {
+                    assert_eq!((bh, bs), (*h, *s));
+                    got.push(r.clone());
+                }
             }
-            assert_eq!(batch.len(), chunk.len());
-            batched.submit_batch(&mut batch);
-            for ((bh, bs), r) in batch.results() {
-                let (h, s, _, _) = &chunk[got.len() % 5];
-                assert_eq!((bh, bs), (*h, *s));
-                got.push(r.clone());
-            }
+            assert_eq!(engine.ticks(), stream.len() as u64, "one tick per item");
+            let snap = metrics.snapshot();
+            (got, snap.stage2_invoked, snap.stage2_skipped)
+        };
+        for chunk in 1..=stream.len() {
+            assert_eq!(drain(CascadeMode::Always, chunk).0, want, "chunk {chunk}");
         }
-        assert_eq!(got, want);
-        assert!(got.iter().any(|r| matches!(r, Ok(Some(_)))));
-        assert_eq!(batched.ticks(), stream.len() as u64, "one tick per item");
+        assert!(want.iter().any(|r| matches!(r, Ok(Some(_)))));
+
+        let one_by_one = drain(CascadeMode::Gated(gate), 1);
+        assert!(
+            one_by_one.1.total() > 0,
+            "the gate lets some windows through"
+        );
+        assert!(one_by_one.2.total() > 0, "the gate skips some windows");
+        for chunk in 2..=stream.len() {
+            assert_eq!(
+                drain(CascadeMode::Gated(gate), chunk),
+                one_by_one,
+                "chunk {chunk}"
+            );
+        }
     }
 
     #[test]
     fn batched_drain_accounts_stage2_work_per_class() {
-        let r = [1e6, 1e5, 1e4, 1e3];
+        // A corpus reading that stage 1 routes to a malware class, so that
+        // every one of the eight one-reading windows below reaches the
+        // gate.
+        let det = detector();
+        let events = det.runtime_events().expect("4-HPC detector").to_vec();
+        let corpus = CorpusBuilder::new(CorpusSpec::tiny()).build();
+        let (r, routed) = corpus
+            .records()
+            .iter()
+            .find_map(|rec| {
+                let mut features44 = [0.0; Event::COUNT];
+                for e in &events {
+                    features44[e.index()] = rec.features[e.index()];
+                }
+                let routed = det.stage1().predict_class(&features44);
+                let reading: Vec<f64> = events.iter().map(|e| features44[e.index()]).collect();
+                (routed != AppClass::Benign).then_some((reading, routed))
+            })
+            .expect("the corpus has a malware-routed reading");
         let run = |cascade: CascadeMode| {
             let metrics = Arc::new(Metrics::new());
             let e = SessionEngine::new(
-                detector(),
+                det.clone(),
                 &SessionConfig {
                     window: 1,
                     votes: 1,
@@ -1410,18 +1417,27 @@ mod tests {
             metrics.snapshot()
         };
         let always = run(CascadeMode::Always);
-        // Under Always nothing is ever skipped; whether anything was
-        // invoked depends on stage-1 routing of this reading.
+        // Under Always nothing is ever skipped, and every window is
+        // counted against the class it was routed to.
         assert_eq!(always.stage2_skipped.total(), 0);
+        assert_eq!(always.stage2_invoked.total(), 8);
+        let slot = match routed {
+            AppClass::Backdoor => always.stage2_invoked.backdoor,
+            AppClass::Rootkit => always.stage2_invoked.rootkit,
+            AppClass::Virus => always.stage2_invoked.virus,
+            AppClass::Trojan => always.stage2_invoked.trojan,
+            AppClass::Benign => unreachable!("routed to a malware class"),
+        };
+        assert_eq!(slot, 8, "counted against {routed}");
         // A gate of 1.1 can never be cleared... but `Gated(t)` skips when
         // conf >= t, so an impossible gate runs stage 2 everywhere and an
-        // always-clearing gate (0.0) skips every malware-routed lane.
+        // always-clearing gate (0.0) skips every malware-routed window.
         let all_skip = run(CascadeMode::Gated(0.0));
         assert_eq!(all_skip.stage2_invoked.total(), 0);
         assert_eq!(
             all_skip.stage2_skipped.total(),
             always.stage2_invoked.total(),
-            "every lane Always invoked for, Gated(0.0) skips"
+            "every window Always invoked for, Gated(0.0) skips"
         );
         let none_skip = run(CascadeMode::Gated(1.1));
         assert_eq!(none_skip.stage2_skipped.total(), 0);

@@ -16,9 +16,9 @@
 //! `--workers N`, `--shards N`, `--readings N`, `--interval T`,
 //! `--arrivals N`, `--max-conns N`, `--idle-after T`, `--sweep-every T`,
 //! `--window N`, `--votes N`, `--cascade always|gated:<t>` (stage-2
-//! gating of the batched drain; `always` is the scalar-identical
-//! default), `--store btree|slab` (session store; `slab` is the default,
-//! `btree` the oracle — digests must be byte-identical).
+//! gating of the cascade; `always` is the default), `--store btree|slab`
+//! (session store; `slab` is the default, `btree` the oracle — digests
+//! must be byte-identical).
 
 use hmd_serve::protocol::WireFormat;
 use hmd_sim::faults::FaultPlan;

@@ -80,9 +80,10 @@ pub struct SimConfig {
     pub votes: usize,
     /// The fault mix.
     pub faults: FaultPlan,
-    /// Stage-2 gating policy of the batched drain. [`CascadeMode::Always`]
-    /// is the scalar-identical oracle (digest unchanged); `Gated` trades
-    /// specialist work for stage-1 confidence.
+    /// Stage-2 gating policy of the engine's cascade.
+    /// [`CascadeMode::Always`] (the default) runs every specialist the
+    /// routing asks for; `Gated` trades specialist work for stage-1
+    /// confidence.
     pub cascade: CascadeMode,
     /// Which session store backs the engine. Both stores must produce
     /// byte-identical digests — this knob *is* the slab regression net.
